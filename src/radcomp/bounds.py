@@ -318,14 +318,23 @@ def hotspot_bounds(pair: ComparisonPair, r_Omega: Optional[float] = None) -> Hot
 
 
 def bound_report(pair: ComparisonPair, r_Omega: Optional[float] = None) -> dict:
-    """JSON-ready bound summary for one comparison pair."""
+    """JSON-ready bound summary for one comparison pair. A bound whose
+    hypothesis fails on this pair reports null for each of its fields, with
+    the reason under "<field>_reason"; the other bounds are still reported."""
+    reasons = {}
+
+    def applicable(fields, fn):
+        try:
+            return fn()
+        except DomainError as e:
+            reasons.update((f"{name}_reason", str(e)) for name in fields)
+            return None
+
     cb = curvature_bounds(pair)
-    hs = hotspot_bounds(pair, r_Omega)
-    try:
-        mu_scan = mu_sign_scan(pair)
-        mu_min = mu_scan.min_mu
-    except DomainError:
-        mu_min = None
+    hs_fields = ("hotspot_raw", "hotspot_normalized") + (
+        ("hotspot_distance_bound",) if r_Omega is not None else ())
+    hs = applicable(hs_fields, lambda: hotspot_bounds(pair, r_Omega))
+    mu_scan = applicable(("mu_min",), lambda: mu_sign_scan(pair))
     report = {
         "sign": pair.sign,
         "R": pair.R,
@@ -336,11 +345,12 @@ def bound_report(pair: ComparisonPair, r_Omega: Optional[float] = None) -> dict:
             "boundary_H_bound": cb.boundary_H_bound,
             "maxset_H_bound": cb.maxset_H_bound,
         },
-        "iso_ratio": isoperimetric_model_ratio(pair) if pair.R > 0 else None,
-        "hotspot_raw": hs.raw,
-        "hotspot_normalized": hs.normalized,
-        "mu_min": mu_min,
+        "iso_ratio": applicable(("iso_ratio",), lambda: isoperimetric_model_ratio(pair)),
+        "hotspot_raw": None if hs is None else hs.raw,
+        "hotspot_normalized": None if hs is None else hs.normalized,
+        "mu_min": None if mu_scan is None else mu_scan.min_mu,
     }
     if r_Omega is not None:
-        report["hotspot_distance_bound"] = hs.distance_bound
+        report["hotspot_distance_bound"] = None if hs is None else hs.distance_bound
+    report.update(reasons)
     return report

@@ -23,8 +23,6 @@ from .ode import CauchyData, SolveOptions, solve_profile
 from .spaceform import SpaceForm
 from .tau import figure_gap_curve, gap_estimate, tau_scan
 
-FIG_GAP_M_TILDE = math.cosh(3.0) - 1.0
-
 
 def _solve_options(args) -> SolveOptions:
     kw = {}
@@ -174,7 +172,7 @@ def cmd_fig_gap(args):
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for n in dims:
-        curve = figure_gap_curve(SpaceForm(n, -1.0), FIG_GAP_M_TILDE, grid,
+        curve = figure_gap_curve(SpaceForm(n, -1.0), acceptance.FIG_GAP_M_TILDE, grid,
                                  _solve_options(args))
         output.write_text(outdir / f"gap_curve_n{n}.csv",
                           output.gap_curve_csv_lines(curve))

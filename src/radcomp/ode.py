@@ -7,16 +7,22 @@ The engine is generic in the first-order coefficient b, which may have simple
 poles at the interval endpoints (r = 0 for the radial equation, both focal
 radii for the isoparametric reduction); integration then starts from a
 second-order Taylor state at a small offset from the pole.
+
+Each leg is integrated by the adaptive Dormand-Prince 5(4) pair on plain
+floats (Dormand & Prince 1980; step control, error norm and initial step as
+in Hairer, Norsett & Wanner, Solving ODEs I, II.4, and as in scipy's RK45).
+Every accepted step keeps its quartic dense-output polynomial (Shampine
+1986), and the events of a leg are roots of those polynomials.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import DomainError, NoZeroFound, NotAdmissible, StepFailure
@@ -24,6 +30,27 @@ from .nonlinearity import Nonlinearity
 from .spaceform import SpaceForm
 
 _ZERO_FLOOR = 1e-13  # inward integration floor above a pole at the left endpoint
+_RANGE_TOL = 1e-12   # evaluation slack past the ends of the computed range
+_EPS = float(np.finfo(float).eps)
+
+# Quartic dense output of the Dormand-Prince pair (Shampine 1986), rows for
+# the stages k1, k3, k4, k5, k6, k7 (the row of k2 is zero). Over a step from
+# t with size h, y(t + d) = y(t) + d (q0 + x (q1 + x (q2 + x q3))), x = d / h,
+# with q = K^T P for the stacked stages K.
+_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+
+# leg events, in the order that breaks ties between simultaneous roots
+_ZERO, _TURN, _GROWTH = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -107,9 +134,10 @@ def singular_start(sf_or_b, f: Nonlinearity, cd: CauchyData,
 class ModelProfile:
     """Dense numerical solution of the profile equation with its zeros.
 
-    Evaluation goes through the integrator's dense output away from the
-    core and through the startup Taylor patch inside the offset band around
-    the core (and next to a singular start pole).
+    The profile is a sorted run of polynomial pieces: the startup Taylor
+    patch around the core (or next to a singular start pole) and the
+    dense-output quartic of every accepted integrator step. `u`, `du` and
+    `d2u` take a radius or an array of radii.
     """
 
     def __init__(self, b, f, cauchy, opts, sf=None):
@@ -126,47 +154,61 @@ class ModelProfile:
         self.r_plus_err: Optional[float] = None
         self.admissible: bool = False
         self.failure: Optional[str] = None
-        self.nodes: np.ndarray = np.empty((0, 3))
-        self._segments = []         # (lo, hi, OdeSolution)
-        self._taylor = None         # (center, fM, one_plus_b1, lo, hi)
-        self._eps = None
+        self.r_lo: float = math.nan    # computed radial range
+        self.r_hi: float = math.nan
+        self._pieces = np.empty((0, 12))  # rows: t, h, U(t), U'(t), q of U, q of U'
+        self._lower = np.empty(0)         # ascending lower ends of the pieces
+        self._piece_list = []             # the same as floats, for scalar evaluation
+        self._lower_list = []
+
+    def _set_pieces(self, pieces, lower, r_lo, r_hi):
+        order = np.argsort(lower, kind="stable")
+        self._pieces, self._lower = pieces[order], lower[order]
+        self._piece_list = self._pieces.tolist()
+        self._lower_list = self._lower.tolist()
+        self.r_lo, self.r_hi = r_lo, r_hi
 
     # -- evaluation ------------------------------------------------------------
 
-    def _eval_scalar(self, r):
-        c, fM, opb, lo, hi = self._taylor
-        if lo <= r <= hi:
-            d = r - c
-            return (self.cauchy.M - fM * d * d / (2.0 * opb),
-                    -fM * d / opb)
-        for (a, bnd, sol) in self._segments:
-            if a - 1e-12 <= r <= bnd + 1e-12:
-                u, du = sol(min(max(r, a), bnd))
-                return float(u), float(du)
-        raise DomainError(f"radius {r} outside the computed profile range")
+    def _state(self, r: float):
+        """(U, U') at one radius."""
+        if not self.r_lo - _RANGE_TOL <= r <= self.r_hi + _RANGE_TOL:
+            raise DomainError(f"radius {r} outside the computed profile range")
+        r = min(max(r, self.r_lo), self.r_hi)
+        i = bisect_right(self._lower_list, r) - 1
+        return _eval_piece(self._piece_list[max(i, 0)], r)
+
+    def _states(self, r):
+        """(U, U') on an array of radii; the same arithmetic as `_state`, so
+        the values agree bitwise with pointwise evaluation."""
+        r = np.asarray(r, dtype=float)
+        inside = (r >= self.r_lo - _RANGE_TOL) & (r <= self.r_hi + _RANGE_TOL)
+        if not inside.all():
+            raise DomainError(f"radius {r[~inside].flat[0]} outside the computed profile range")
+        r = np.minimum(np.maximum(r, self.r_lo), self.r_hi)
+        i = np.maximum(np.searchsorted(self._lower, r, side="right") - 1, 0)
+        return _eval_piece(np.moveaxis(self._pieces[i], -1, 0), r)
 
     def u(self, r):
-        if np.ndim(r) == 0:
-            return self._eval_scalar(float(r))[0]
-        return np.array([self._eval_scalar(float(x))[0] for x in np.asarray(r).ravel()])
+        if _is_scalar(r):
+            return self._state(float(r))[0]
+        return self._states(r)[0]
 
     def du(self, r):
-        if np.ndim(r) == 0:
-            return self._eval_scalar(float(r))[1]
-        return np.array([self._eval_scalar(float(x))[1] for x in np.asarray(r).ravel()])
+        if _is_scalar(r):
+            return self._state(float(r))[1]
+        return self._states(r)[1]
 
     def d2u(self, r):
         """U'' recovered from the equation itself."""
-        u, du = self._eval_scalar(float(r))
-        return -self.b(float(r)) * du - self.f(u)
-
-    @property
-    def r_lo(self):
-        return min(a for a, _, _ in self._segments) if self._segments else self._taylor[3]
-
-    @property
-    def r_hi(self):
-        return max(bnd for _, bnd, _ in self._segments) if self._segments else self._taylor[4]
+        if _is_scalar(r):
+            u, du = self._state(float(r))
+            return -self.b(float(r)) * du - self.f(u)
+        rs = np.asarray(r, dtype=float)
+        us, dus = self._states(rs)
+        return np.array([-self.b(x) * dv - self.f(uv) for x, uv, dv in
+                         zip(rs.ravel().tolist(), us.ravel().tolist(), dus.ravel().tolist())]
+                        ).reshape(rs.shape)
 
     def branch_interval(self, sign: str):
         """Radial interval of the monotone branch ('plus' or 'minus')."""
@@ -197,55 +239,175 @@ class ModelProfile:
         return out
 
 
-def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: float):
+def _is_scalar(r):
+    # np.ndim alone takes longer than a whole scalar evaluation
+    return type(r) is float or np.ndim(r) == 0
+
+
+def _eval_piece(p, r):
+    """(U, U') of one polynomial piece (a row of ModelProfile._pieces) at r;
+    with the columns of many rows and an array r, the same arithmetic
+    elementwise."""
+    t, h, u0, v0, a0, a1, a2, a3, c0, c1, c2, c3 = p
+    d = r - t
+    x = d / h
+    return (u0 + d * (a0 + x * (a1 + x * (a2 + x * a3))),
+            v0 + d * (c0 + x * (c1 + x * (c2 + x * c3))))
+
+
+def _taylor_piece(center, M, fM, one_plus_b1):
+    """The startup patch U = M - f(M) d^2 / (2 (1 + b1)), d = r - center, as a
+    piece of unit scale."""
+    return [center, 1.0, M, 0.0, 0.0, -fM / (2.0 * one_plus_b1), 0.0, 0.0,
+            -fM / one_plus_b1, 0.0, 0.0, 0.0]
+
+
+@dataclass
+class _Leg:
+    """One integrated leg: the pieces of its accepted steps, where it stopped,
+    (U, U') there, the event that stopped it (None at the target), and the
+    local error estimates of the steps carried to the end as an error in U."""
+    pieces: np.ndarray
+    lower: np.ndarray
+    end: float
+    state: tuple
+    event: Optional[int]
+    u_error: float
+
+
+def _rms(a, b):
+    return math.hypot(a, b) * math.sqrt(0.5)
+
+
+def _initial_step(b, f, t, u, v, w, target, direction, rtol, atol, max_step):
+    """Starting step size from the local scale of the solution and of its
+    first two derivatives (Hairer, Norsett & Wanner, II.4)."""
+    span = abs(target - t)
+    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+    d0, d1 = _rms(u / su, v / sv), _rms(v / su, w / sv)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    u1, v1 = u + h0 * direction * v, v + h0 * direction * w
+    w1 = -b(t + h0 * direction) * v1 - f(u1)
+    d2 = _rms((v1 - v) / su, (w1 - w) / sv) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, span, max_step)
+
+
+def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: float) -> _Leg:
     """Integrate one leg, stopping at the first zero of U, a vanishing of U',
-    runaway growth, or the target endpoint."""
+    runaway growth, or the target endpoint.
 
-    def rhs(r, y):
-        return (y[1], -b(r) * y[1] - f(y[0]))
-
-    def ev_zero(r, y):
-        return y[0]
-    ev_zero.terminal = True
-    ev_zero.direction = -1
-
-    def ev_turn(r, y):
-        return y[1]
-    ev_turn.terminal = True
-    ev_turn.direction = 0
-
+    The state is (U, V = U') with V' = W = -b(r) V - f(U). An event fires when
+    U falls to 0, V changes sign, or U rises to the growth cap between two
+    step ends; its radius is the root of that step's dense output.
+    """
+    rtol = max(opts.rtol, 100 * _EPS)  # the floor RK45 puts on rtol
+    atol, max_step = opts.atol, opts.max_step
+    if not max_step > 0:
+        raise DomainError("max_step must be positive")
     cap = opts.u_growth_cap * max(1.0, M)
+    t, u, v = start.r0, start.u0, start.du0
+    w = -b(t) * v - f(u)
+    steps = []   # t, h, U, V, t_new, then the stages of U' and of V'
+    fired = []
+    err_u = err_v = err_vr = 0.0  # sums of |local error| of U, of U', of U' times r
+    direction = 1.0 if target >= t else -1.0
+    h_abs = (_initial_step(b, f, t, u, v, w, target, direction, rtol, atol, max_step)
+             if t != target else 0.0)
+    while t != target and not fired:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = min(max(h_abs, min_step), max_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # a nan step size fails here too
+                raise StepFailure(f"integrator failed: required step size at r = {t} "
+                                  "is less than the spacing between floats")
+            t_new = t + h_abs * direction
+            if direction * (t_new - target) > 0:
+                t_new = target
+            h = t_new - t
+            h_abs = abs(h)
+            try:
+                u2 = u + h * (1 / 5 * v)
+                v2 = v + h * (1 / 5 * w)
+                w2 = -b(t + 1 / 5 * h) * v2 - f(u2)
+                u3 = u + h * (3 / 40 * v + 9 / 40 * v2)
+                v3 = v + h * (3 / 40 * w + 9 / 40 * w2)
+                w3 = -b(t + 3 / 10 * h) * v3 - f(u3)
+                u4 = u + h * (44 / 45 * v - 56 / 15 * v2 + 32 / 9 * v3)
+                v4 = v + h * (44 / 45 * w - 56 / 15 * w2 + 32 / 9 * w3)
+                w4 = -b(t + 4 / 5 * h) * v4 - f(u4)
+                u5 = u + h * (19372 / 6561 * v - 25360 / 2187 * v2 + 64448 / 6561 * v3
+                              - 212 / 729 * v4)
+                v5 = v + h * (19372 / 6561 * w - 25360 / 2187 * w2 + 64448 / 6561 * w3
+                              - 212 / 729 * w4)
+                w5 = -b(t + 8 / 9 * h) * v5 - f(u5)
+                u6 = u + h * (9017 / 3168 * v - 355 / 33 * v2 + 46732 / 5247 * v3
+                              + 49 / 176 * v4 - 5103 / 18656 * v5)
+                v6 = v + h * (9017 / 3168 * w - 355 / 33 * w2 + 46732 / 5247 * w3
+                              + 49 / 176 * w4 - 5103 / 18656 * w5)
+                w6 = -b(t + h) * v6 - f(u6)
+                un = u + h * (35 / 384 * v + 500 / 1113 * v3 + 125 / 192 * v4
+                              - 2187 / 6784 * v5 + 11 / 84 * v6)
+                vn = v + h * (35 / 384 * w + 500 / 1113 * w3 + 125 / 192 * w4
+                              - 2187 / 6784 * w5 + 11 / 84 * w6)
+                wn = -b(t + h) * vn - f(un)
+                # 5th- minus embedded 4th-order solution, scaled per component
+                eu = h * (-71 / 57600 * v + 71 / 16695 * v3 - 71 / 1920 * v4
+                          + 17253 / 339200 * v5 - 22 / 525 * v6 + 1 / 40 * vn)
+                ev = h * (-71 / 57600 * w + 71 / 16695 * w3 - 71 / 1920 * w4
+                          + 17253 / 339200 * w5 - 22 / 525 * w6 + 1 / 40 * wn)
+                err = _rms(eu / (atol + max(abs(u), abs(un)) * rtol),
+                           ev / (atol + max(abs(v), abs(vn)) * rtol))
+            except (ArithmeticError, TypeError):
+                # plain floats raise (overflow, division by zero, complex
+                # powers) where array arithmetic gives inf or nan: either way
+                # the trial step is not finite and is rejected
+                err = math.nan
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
 
-    def ev_growth(r, y):
-        return y[0] - cap
-    ev_growth.terminal = True
-    ev_growth.direction = 1
+        steps.append((t, h, u, v, t_new, v, v3, v4, v5, v6, vn, w, w3, w4, w5, w6, wn))
+        err_u += abs(eu)
+        err_v += abs(ev)
+        err_vr += abs(ev) * t
+        if u >= 0.0 and un <= 0.0:
+            fired.append(_ZERO)
+        if (v <= 0.0 and vn >= 0.0) or (v >= 0.0 and vn <= 0.0):
+            fired.append(_TURN)
+        if u - cap <= 0.0 and un - cap >= 0.0:
+            fired.append(_GROWTH)
+        t, u, v, w = t_new, un, vn, wn
 
-    sol = solve_ivp(rhs, (start.r0, target), (start.u0, start.du0),
-                    method="RK45", rtol=opts.rtol, atol=opts.atol,
-                    dense_output=True, events=(ev_zero, ev_turn, ev_growth),
-                    max_step=opts.max_step)
-    if sol.status == -1:
-        raise StepFailure(f"integrator failed: {sol.message}")
-    return sol
+    s = np.array(steps, dtype=float).reshape(-1, 17)
+    pieces = np.column_stack((s[:, :4], s[:, 5:11] @ _P, s[:, 11:17] @ _P))
+    lower = np.minimum(s[:, 0], s[:, 4])
 
+    def u_error(end):
+        # an error e in U' at r_i shifts U at the end by about e |end - r_i|
+        return err_u + abs(end * err_v - err_vr)
 
-def _refine_zero(sol, t_event, opts, M):
-    """One explicit bracketing pass on the dense output around the event."""
-    ts = sol.t
-    uvals = sol.sol(ts)[0]
-    pos = np.nonzero(uvals > 0)[0]
-    if pos.size == 0:
-        return t_event
-    t_lo = ts[pos[-1]]
-    t_hi = t_event
-    f_lo = float(sol.sol(t_lo)[0])
-    f_hi = float(sol.sol(t_hi)[0])
-    if f_lo * f_hi < 0:
-        r = brentq(lambda t: float(sol.sol(t)[0]), min(t_lo, t_hi), max(t_lo, t_hi),
-                   xtol=1e-15, rtol=8.9e-16)
-        return r
-    return t_event
+    if not fired:
+        return _Leg(pieces, lower, t, (u, v), None, u_error(t))
+    p = pieces[-1].tolist()
+    t_old = steps[-1][0]
+    g = {_ZERO: lambda r: _eval_piece(p, r)[0],
+         _TURN: lambda r: _eval_piece(p, r)[1],
+         _GROWTH: lambda r: _eval_piece(p, r)[0] - cap}
+    roots = []
+    for e in fired:
+        root = brentq(g[e], t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+        roots.append((direction * root, e, root))
+    _, event, end = min(roots)  # the first root along the leg; ties go by event order
+    return _Leg(pieces, lower, end, _eval_piece(p, end), event, u_error(end))
 
 
 def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
@@ -277,24 +439,23 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
     if at_lo_pole:
         st = _pole_start(b, f, M, lo, +1, eps_base, scale=min(1.0, width))
         legs.append((+1, st))
-        prof._taylor = (lo, fM, 1.0 + st.b1, lo, st.r0)
+        taylor, r_lo, r_hi = _taylor_piece(lo, M, fM, 1.0 + st.b1), lo, st.r0
     elif at_hi_pole:
         st = _pole_start(b, f, M, hi, -1, eps_base, scale=min(1.0, width))
         legs.append((-1, st))
-        prof._taylor = (hi, fM, 1.0 + st.b1, st.r0, hi)
+        taylor, r_lo, r_hi = _taylor_piece(hi, M, fM, 1.0 + st.b1), st.r0, hi
     else:
         gap = min(R - lo, hi - R) if math.isfinite(hi) else R - lo
         eps = min(eps_base, gap / 100.0) if gap > 0 else eps_base
         legs.append((+1, _regular_start(f, R, M, +1, eps)))
         legs.append((-1, _regular_start(f, R, M, -1, eps)))
-        prof._taylor = (R, fM, 1.0, R - eps, R + eps)
-        prof._eps = eps
+        taylor, r_lo, r_hi = _taylor_piece(R, M, fM, 1.0), R - eps, R + eps
+    pieces, lower = [np.array([taylor])], [np.array([r_lo])]
 
     if fM <= 0:
         prof.failure = f"core is not a strict local maximum: f(M) = {fM} <= 0"
 
     pole_eps_hi = max(1e-9, 1e-12 * abs(hi)) if math.isfinite(hi) else 0.0
-    nodes = [(R, M, 0.0)]
     diagnostics = []
 
     for side, st in legs:
@@ -302,31 +463,30 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
             target = (hi - pole_eps_hi) if singular_hi else min(hi, R + opts.r_max_cap)
         else:
             target = lo + _ZERO_FLOOR if singular_lo else lo
-        sol = _run_leg(b, f, st, target, opts, M)
-        a, bnd = (min(st.r0, sol.t[-1]), max(st.r0, sol.t[-1]))
-        prof._segments.append((a, bnd, sol.sol))
-        uu, duu = sol.sol(sol.t)
-        nodes.extend(zip(sol.t.tolist(), uu.tolist(), duu.tolist()))
+        leg = _run_leg(b, f, st, target, opts, M)
+        pieces.append(leg.pieces)
+        lower.append(leg.lower)
+        r_lo, r_hi = min(r_lo, st.r0, leg.end), max(r_hi, st.r0, leg.end)
 
-        if sol.t_events[0].size:  # zero of U
-            rz = _refine_zero(sol, sol.t_events[0][0], opts, M)
-            uz, duz = (float(v) for v in sol.sol(rz))
+        if leg.event == _ZERO:
+            rz, (uz, duz) = leg.end, leg.state
             # stall threshold scales with the slope: what matters is the
             # radius error |U|/|U'|, not |U| itself
             if abs(uz) > opts.zero_tol * max(1.0, M) * (1.0 + abs(duz)):
                 diagnostics.append(f"zero refinement stalled at r={rz} (|U|={abs(uz)})")
-            # location error ~ (accumulated value error of U at the zero) / slope
-            err = (opts.rtol * M + opts.atol + abs(uz)) / max(abs(duz), 1e-300)
+            # location error ~ (accumulated value error of U at the zero) / slope:
+            # the tolerance floor plus the leg's local error estimates, which
+            # dominate on long or curved legs; plus the resolution of the root
+            err = ((opts.rtol * M + opts.atol + leg.u_error + abs(uz)) / max(abs(duz), 1e-300)
+                   + 4 * _EPS * (1.0 + abs(rz)))
             if side > 0:
                 prof.r_plus, prof.dU_plus, prof.r_plus_err = rz, duz, err
             else:
                 prof.r_minus, prof.dU_minus, prof.r_minus_err = rz, duz, err
-        elif sol.t_events[1].size:  # U' vanished with U still positive
-            rt = sol.t_events[1][0]
-            ut = float(sol.sol(rt)[0])
-            diagnostics.append(
-                f"derivative vanished before the zero at r={rt} (U={ut}); profile turns")
-        elif sol.t_events[2].size:  # runaway growth
+        elif leg.event == _TURN:  # U' vanished with U still positive
+            diagnostics.append(f"derivative vanished before the zero at r={leg.end} "
+                               f"(U={leg.state[0]}); profile turns")
+        elif leg.event == _GROWTH:
             diagnostics.append(f"profile grew past {opts.u_growth_cap} * max(1, M); aborted leg")
         else:
             if singular_hi and side > 0:
@@ -338,8 +498,7 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
             else:
                 diagnostics.append(f"no sign change of U down to r={target}")
 
-    nodes.sort(key=lambda row: row[0])
-    prof.nodes = np.array(nodes)
+    prof._set_pieces(np.concatenate(pieces), np.concatenate(lower), r_lo, r_hi)
 
     if at_lo_pole:
         have_zeros = prof.r_plus is not None
@@ -381,4 +540,4 @@ def reflect_profile_check(sf: SpaceForm, f: Nonlinearity, cd: CauchyData,
     lo = max(p1.r_lo, sf.r_bar - p2.r_hi)
     hi = min(p1.r_hi, sf.r_bar - p2.r_lo)
     rs = np.linspace(lo, hi, samples)
-    return float(max(abs(p1.u(r) - p2.u(sf.r_bar - r)) for r in rs))
+    return float(np.max(np.abs(p1.u(rs) - p2.u(sf.r_bar - rs))))

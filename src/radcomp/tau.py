@@ -6,8 +6,6 @@ radius, and the admissible-set / gap estimation built on top of them.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -81,13 +79,6 @@ class GapEstimate:
         return 0.0
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("RADCOMP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def normalization_constant(sf: SpaceForm, f: Nonlinearity, M: float,
                            opts: SolveOptions = SolveOptions()) -> float:
     """Squared boundary gradient of the centered profile, U'(r_plus(0,M))^2."""
@@ -126,13 +117,7 @@ def tau_scan(sf: SpaceForm, f: Nonlinearity, M: float, R_grid,
     if not M > 0 or (math.isfinite(f.sup_if) and M > f.sup_if):
         raise DomainError(f"M = {M} outside I_f = (0, {f.sup_if})")
     c = normalization_constant(sf, f, M, opts)
-
-    nthreads = _thread_count()
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            rows = list(ex.map(lambda R: _scan_row(sf, f, M, R, c, opts), R_grid))
-    else:
-        rows = [_scan_row(sf, f, M, R, c, opts) for R in R_grid]
+    rows = [_scan_row(sf, f, M, R, c, opts) for R in R_grid]
 
     table = TauTable(sf=sf, f=f, M=M, c_norm=c, rows=rows)
     if not table.ok_rows:

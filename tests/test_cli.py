@@ -108,6 +108,22 @@ def test_bounds_subcommand_centered(capsys):
     assert payload["iso_ratio"] is None  # centered pair has no top hypersurface
     assert payload["curvature_bounds"]["maxset_H_bound"] is None
     assert payload["hotspot_normalized"] == pytest.approx(3.0, abs=1e-9)
+    assert payload["iso_ratio_reason"] == "isoperimetric ratio needs R > 0"
+
+
+def test_bounds_subcommand_inapplicable_hotspot(capsys):
+    # r_plus > r_bar / 2 on the sphere: the hot-spot bound does not apply,
+    # the other bounds of the report are still computed
+    code, out, _ = run_cli(["bounds", "--n", "3", "--k", "1", "--f", "affine:-0.25,2.5",
+                            "--R", "1.2", "--M", "1.0"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["r_plus"] > math.pi / 2.0
+    for field in ("hotspot_raw", "hotspot_normalized"):
+        assert payload[field] is None
+        assert "r_plus <= r_bar / 2" in payload[f"{field}_reason"]
+    assert payload["iso_ratio"] > 0 and payload["mu_min"] is not None
+    assert "iso_ratio_reason" not in payload and "mu_min_reason" not in payload
 
 
 def test_tau_scan_json_summary(tmp_path, capsys):

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
-from radcomp import (CauchyData, SolveOptions, SpaceForm, constant, serrin_fk,
+from radcomp import (CauchyData, HelmholtzS3, Nonlinearity, SerrinExplicit, SolveOptions,
+                     SpaceForm, affine, allen_cahn, constant, serrin_fk, serrin_flat_radius,
                      singular_start, solve_generic, solve_profile, pole_residue,
                      polynomial)
-from radcomp.errors import DomainError, NoZeroFound, NotAdmissible
-from radcomp.ode import reflect_profile_check
+from radcomp.errors import DomainError, NoZeroFound, NotAdmissible, StepFailure
+from radcomp.ode import _eval_piece, reflect_profile_check
 
 
 def test_flat_centered_oracle():
@@ -239,3 +241,144 @@ def test_profile_csv_export():
     for key in ("n", "k", "f", "R", "M", "r_minus", "r_plus",
                 "dU_minus", "dU_plus", "admissible"):
         assert key in header
+
+
+# -- integrator and dense output ---------------------------------------------------
+
+def profile_with_both_legs():
+    return solve_profile(SpaceForm(3, -1.0), serrin_fk(3, -1.0), CauchyData(1.5, 0.25))
+
+
+def test_dense_array_matches_pointwise_bitwise():
+    prof = profile_with_both_legs()
+    breaks = prof._lower[(prof._lower > prof.r_lo) & (prof._lower < prof.r_hi)]
+    rs = np.concatenate([np.linspace(prof.r_lo, prof.r_hi, 301), breaks,
+                         [prof.r_lo - 1e-13, prof.r_hi + 1e-13, 1.5]])
+    for name in ("u", "du", "d2u"):
+        fn = getattr(prof, name)
+        vec = fn(rs)
+        assert vec.shape == rs.shape
+        assert np.array_equal(vec, [fn(float(r)) for r in rs]), name
+    assert prof.u(rs[:300].reshape(3, 100)).shape == (3, 100)
+    with pytest.raises(DomainError):
+        prof.u(np.array([prof.r_lo, prof.r_hi + 1e-9]))
+    with pytest.raises(DomainError):
+        prof.du(np.array([math.nan]))
+
+
+def test_dense_output_continuous_across_steps():
+    """Neighbouring pieces agree at their shared end, the seams of the startup
+    patch included, to 1e-12 relative."""
+    prof = profile_with_both_legs()
+    pieces = prof._pieces.tolist()
+    assert len(pieces) > 20
+    for left, right, r in zip(pieces, pieces[1:], prof._lower[1:].tolist()):
+        for a, b in zip(_eval_piece(left, r), _eval_piece(right, r)):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+def test_d2u_accepts_arrays():
+    sf = SpaceForm(3, 1.0)
+    prof = solve_profile(sf, serrin_fk(3, 1.0), CauchyData(1.0, 1.0))
+    rs = np.linspace(prof.r_minus + 0.05, prof.r_plus - 0.05, 9)
+    d2 = prof.d2u(rs)
+    h = 2e-3
+    fd = (-prof.du(rs + 2 * h) + 8 * prof.du(rs + h)
+          - 8 * prof.du(rs - h) + prof.du(rs - 2 * h)) / (12 * h)
+    assert np.max(np.abs(d2 - fd) / np.maximum(1.0, np.abs(d2))) < 1e-6
+
+
+def test_descending_leg_from_the_far_pole_locates_its_zero():
+    """A core at r_bar shoots inward only; by reflection its zero sits at
+    r_bar - r_plus of the centered profile."""
+    sf, f, M = SpaceForm(3, 1.0), serrin_fk(3, 1.0), 0.7
+    centered = solve_profile(sf, f, CauchyData(0.0, M))
+    far = solve_generic(sf.radial_coefficient, f, CauchyData(sf.r_bar, M), (0.0, sf.r_bar),
+                        singular_lo=True, singular_hi=True)
+    assert far.admissible and far.r_plus is None
+    assert abs(far.r_minus - (sf.r_bar - centered.r_plus)) < 1e-9
+    assert far.dU_minus == pytest.approx(-centered.dU_plus, rel=1e-8)
+    assert abs(far.u(far.r_minus)) < 1e-12
+    assert far.u(sf.r_bar) == M
+
+
+@pytest.mark.parametrize("f", [
+    Nonlinearity("cut", lambda x: 1.0 if x > 0.5 else math.nan),  # nan below U = 1/2
+    allen_cahn(2.5),  # complex powers of negative U in the stage that crosses zero
+    Nonlinearity("nan", lambda x: math.nan),  # no finite start at all
+], ids=["nan-below", "complex", "nan"])
+def test_step_size_underflow_raises_step_failure(f):
+    """Every trial step that reaches where f is not real is rejected, until
+    the step size falls below the spacing of floats (at once when the
+    starting step is not finite)."""
+    with pytest.raises(StepFailure):
+        solve_profile(SpaceForm(3, 1.0), f, CauchyData(0.9, 0.75))
+
+
+# -- zero-location error estimates against closed forms ------------------------------
+
+def oracle_zero(u, r, lo, hi):
+    """Root of a closed-form profile next to the numerical zero r, in the
+    narrowest bracket of relative width that changes sign (zeros can sit
+    within 1e-12 of a pole at lo = 0)."""
+    for w in (1e-9, 1e-7, 1e-5, 1e-3, 1e-1):
+        a, b = max(lo, r - w * r), min(hi, r + w * r)
+        if u(a) * u(b) < 0:
+            return brentq(u, a, b, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    raise AssertionError(f"closed form has no sign change next to r = {r}")
+
+
+def assert_zero_errors_bounded(prof, u, lo, hi):
+    zeros = [(prof.r_plus, prof.r_plus_err), (prof.r_minus, prof.r_minus_err)]
+    for r, err in zeros:
+        if r is not None:
+            assert abs(oracle_zero(u, r, lo, hi) - r) <= err
+
+
+@given(M=st.floats(0.05, 3.0), gap=st.floats(0.05, 3.0))
+@settings(max_examples=20, deadline=None)
+def test_zero_error_estimate_flat_quadratic(M, gap):
+    # b = 0, f = 1: U = M - (r - R)^2 / 2 with zeros R -+ sqrt(2 M)
+    R = math.sqrt(2.0 * M) + gap
+    prof = solve_generic(lambda r: 0.0, constant(1.0), CauchyData(R, M), (0.0, math.inf))
+    assert prof.r_minus is not None
+    assert_zero_errors_bounded(prof, lambda r: M - (r - R) ** 2 / 2.0, 0.0, math.inf)
+
+
+@given(n=st.integers(2, 5), M=st.floats(0.05, 5.0))
+@settings(max_examples=20, deadline=None)
+def test_zero_error_estimate_flat_ball(n, M):
+    prof = solve_profile(SpaceForm(n, 0.0), constant(1.0), CauchyData(0.0, M))
+    assert abs(prof.r_plus - serrin_flat_radius(n, M)) <= prof.r_plus_err
+
+
+@given(lam=st.one_of(st.floats(-0.9, -0.05), st.floats(0.05, 3.0)),
+       beta=st.floats(0.5, 3.0), R=st.floats(0.2, 2.9), M=st.floats(0.1, 2.0))
+@example(lam=2.0597779930324918, beta=2.1223337195283114, R=1.249334055644908,
+         M=1.3494707798717325)  # the estimate (rtol M + atol + |U|) / |U'| was 2.1x short
+@settings(max_examples=20, deadline=None)
+def test_zero_error_estimate_helmholtz_s3(lam, beta, R, M):
+    assume(lam * M + beta > 0.05)
+    prof = solve_profile(SpaceForm(3, 1.0), affine(lam, beta), CauchyData(R, M), strict=False)
+    assume(prof.admissible)
+    assert_zero_errors_bounded(prof, HelmholtzS3(lam, beta, R, M).u, 0.0,
+                               math.nextafter(math.pi, 0.0))
+
+
+@given(k=st.sampled_from([-1.0, 1.0]), n=st.integers(2, 4),
+       x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0))
+@example(k=-1.0, n=4, x=0.09144435088992021, y=1.0)  # (rtol M + atol + |U|) / |U'| was 1.6x short
+@settings(max_examples=20, deadline=None)
+def test_zero_error_estimate_serrin_explicit(k, n, x, y):
+    sf = SpaceForm(n, k)
+    if k > 0:
+        R, M = 0.2 + 2.7 * x, 0.1 + 1.9 * y
+    else:
+        # M inside I_f = (0, 1/n); R <= 3 because the oracle's quadrature error
+        # (1e-12 in its regularized integral) grows with cosh(r) and reaches
+        # the size of the estimate near R = 4
+        R, M = 0.3 + 2.7 * x, (0.05 + 0.9 * y) / n
+    prof = solve_profile(sf, serrin_fk(n, k), CauchyData(R, M), strict=False)
+    assume(prof.admissible)  # for n = 2 and k < 0, large M and small R have no inner zero
+    assert_zero_errors_bounded(prof, SerrinExplicit(sf, R, M).u, 0.0,
+                               math.nextafter(sf.r_bar, 0.0))

@@ -1,8 +1,4 @@
-import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -224,20 +220,3 @@ def test_failed_rows_carry_diagnostics():
     assert not row.ok
     assert "cap" in row.diagnostic
     assert math.isnan(row.tau_plus)
-
-
-def test_thread_count_invariance():
-    code = (
-        "import numpy as np\n"
-        "from radcomp import SpaceForm, serrin_fk, tau_scan\n"
-        "from radcomp.output import tau_csv_lines\n"
-        "t = tau_scan(SpaceForm(3, 1.0), serrin_fk(3, 1.0), 1.0, np.linspace(0.0, 2.5, 7))\n"
-        "print('\\n'.join(tau_csv_lines(t)))\n"
-    )
-    outs = []
-    for threads in ("1", "4"):
-        env = dict(os.environ, RADCOMP_THREADS=threads)
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, env=env, check=True)
-        outs.append(res.stdout)
-    assert outs[0] == outs[1]

@@ -11,12 +11,14 @@ second-order Taylor state at a small offset from the pole.
 Each leg is integrated by the adaptive Dormand-Prince 5(4) pair on plain
 floats (Dormand & Prince 1980; step control, error norm and initial step as
 in Hairer, Norsett & Wanner, Solving ODEs I, II.4, and as in scipy's RK45).
-Every accepted step keeps its quartic dense-output polynomial (Shampine
-1986), and the events of a leg are roots of those polynomials.
+Every accepted step keeps its stages, from which the quartic dense-output
+polynomial of the step (Shampine 1986) is built when the profile is first
+evaluated; the events of a leg are roots of the polynomial of its last step.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -51,6 +53,13 @@ _P = np.array([
 
 # leg events, in the order that breaks ties between simultaneous roots
 _ZERO, _TURN, _GROWTH = 0, 1, 2
+
+
+class FailureCode(enum.Enum):
+    """Kind of a failed solve; a strict solve raises NoZeroFound for NO_ZERO
+    and NotAdmissible otherwise."""
+    NO_ZERO = "no_zero"                # a leg ended without a sign change of U
+    NOT_ADMISSIBLE = "not_admissible"  # f(M) <= 0, a turn, runaway growth, a stalled zero
 
 
 @dataclass(frozen=True)
@@ -136,8 +145,10 @@ class ModelProfile:
 
     The profile is a sorted run of polynomial pieces: the startup Taylor
     patch around the core (or next to a singular start pole) and the
-    dense-output quartic of every accepted integrator step. `u`, `du` and
-    `d2u` take a radius or an array of radii.
+    dense-output quartic of every accepted integrator step. The pieces are
+    built from the stored step rows on the first evaluation, so a solve whose
+    profile is never evaluated does not pay for them. `u`, `du` and `d2u`
+    take a radius or an array of radii.
     """
 
     def __init__(self, b, f, cauchy, opts, sf=None):
@@ -154,19 +165,30 @@ class ModelProfile:
         self.r_plus_err: Optional[float] = None
         self.admissible: bool = False
         self.failure: Optional[str] = None
+        self.failure_code: Optional[FailureCode] = None
         self.r_lo: float = math.nan    # computed radial range
         self.r_hi: float = math.nan
-        self._pieces = np.empty((0, 12))  # rows: t, h, U(t), U'(t), q of U, q of U'
-        self._lower = np.empty(0)         # ascending lower ends of the pieces
-        self._piece_list = []             # the same as floats, for scalar evaluation
-        self._lower_list = []
+        self._taylor = None    # (startup patch as a piece, its lower end)
+        self._legs = []        # the accepted-step rows of each leg
+        self._pieces = None    # built on first use; rows: t, h, U(t), U'(t), q of U, q of U'
+        self._lower = None     # ascending lower ends of the pieces
+        self._piece_list = None  # the same as floats, for scalar evaluation
+        self._lower_list = None
 
-    def _set_pieces(self, pieces, lower, r_lo, r_hi):
+    def _build(self):
+        """Make the sorted pieces from the startup patch and the step rows."""
+        taylor, taylor_lo = self._taylor
+        pieces, lower = [np.array([taylor])], [np.array([taylor_lo])]
+        for steps in self._legs:
+            p, lo = _leg_pieces(steps)
+            pieces.append(p)
+            lower.append(lo)
+        pieces, lower = np.concatenate(pieces), np.concatenate(lower)
         order = np.argsort(lower, kind="stable")
         self._pieces, self._lower = pieces[order], lower[order]
         self._piece_list = self._pieces.tolist()
         self._lower_list = self._lower.tolist()
-        self.r_lo, self.r_hi = r_lo, r_hi
+        self._legs = None  # the pieces hold the same data; free the step rows
 
     # -- evaluation ------------------------------------------------------------
 
@@ -174,6 +196,8 @@ class ModelProfile:
         """(U, U') at one radius."""
         if not self.r_lo - _RANGE_TOL <= r <= self.r_hi + _RANGE_TOL:
             raise DomainError(f"radius {r} outside the computed profile range")
+        if self._pieces is None:
+            self._build()
         r = min(max(r, self.r_lo), self.r_hi)
         i = bisect_right(self._lower_list, r) - 1
         return _eval_piece(self._piece_list[max(i, 0)], r)
@@ -185,6 +209,8 @@ class ModelProfile:
         inside = (r >= self.r_lo - _RANGE_TOL) & (r <= self.r_hi + _RANGE_TOL)
         if not inside.all():
             raise DomainError(f"radius {r[~inside].flat[0]} outside the computed profile range")
+        if self._pieces is None:
+            self._build()
         r = np.minimum(np.maximum(r, self.r_lo), self.r_hi)
         i = np.maximum(np.searchsorted(self._lower, r, side="right") - 1, 0)
         return _eval_piece(np.moveaxis(self._pieces[i], -1, 0), r)
@@ -262,13 +288,34 @@ def _taylor_piece(center, M, fM, one_plus_b1):
             -fM / one_plus_b1, 0.0, 0.0, 0.0]
 
 
+def _leg_pieces(steps):
+    """The pieces of a leg's accepted-step rows and their lower ends."""
+    s = np.array(steps, dtype=float).reshape(-1, 17)
+    pieces = np.column_stack((s[:, :4], s[:, 5:11] @ _P, s[:, 11:17] @ _P))
+    return pieces, np.minimum(s[:, 0], s[:, 4])
+
+
+def _last_piece(steps):
+    """The last row of `_leg_pieces(steps)` without building the others.
+
+    BLAS rounds a row of a matrix product according to where the row falls
+    in its kernel's tiles, so a product of one row can differ from the same
+    row of the whole product in the last bit. The stages of the last step are
+    therefore multiplied as a product of the full shape, which rounds its
+    last row exactly as `_leg_pieces` does.
+    """
+    last = steps[-1]
+    stages = np.repeat(np.array([last[5:11], last[11:17]])[:, None], len(steps), axis=1)
+    q_u, q_v = (stages @ _P)[:, -1].tolist()
+    return [*last[:4], *q_u, *q_v]
+
+
 @dataclass
 class _Leg:
-    """One integrated leg: the pieces of its accepted steps, where it stopped,
-    (U, U') there, the event that stopped it (None at the target), and the
-    local error estimates of the steps carried to the end as an error in U."""
-    pieces: np.ndarray
-    lower: np.ndarray
+    """One integrated leg: its accepted-step rows, where it stopped, (U, U')
+    there, the event that stopped it (None at the target), and the local
+    error estimates of the steps carried to the end as an error in U."""
+    steps: list
     end: float
     state: tuple
     event: Optional[int]
@@ -346,16 +393,17 @@ def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: floa
                 v5 = v + h * (19372 / 6561 * w - 25360 / 2187 * w2 + 64448 / 6561 * w3
                               - 212 / 729 * w4)
                 w5 = -b(t + 8 / 9 * h) * v5 - f(u5)
+                b_end = b(t + h)  # stage 6 and the last (FSAL) stage share this node
                 u6 = u + h * (9017 / 3168 * v - 355 / 33 * v2 + 46732 / 5247 * v3
                               + 49 / 176 * v4 - 5103 / 18656 * v5)
                 v6 = v + h * (9017 / 3168 * w - 355 / 33 * w2 + 46732 / 5247 * w3
                               + 49 / 176 * w4 - 5103 / 18656 * w5)
-                w6 = -b(t + h) * v6 - f(u6)
+                w6 = -b_end * v6 - f(u6)
                 un = u + h * (35 / 384 * v + 500 / 1113 * v3 + 125 / 192 * v4
                               - 2187 / 6784 * v5 + 11 / 84 * v6)
                 vn = v + h * (35 / 384 * w + 500 / 1113 * w3 + 125 / 192 * w4
                               - 2187 / 6784 * w5 + 11 / 84 * w6)
-                wn = -b(t + h) * vn - f(un)
+                wn = -b_end * vn - f(un)
                 # 5th- minus embedded 4th-order solution, scaled per component
                 eu = h * (-71 / 57600 * v + 71 / 16695 * v3 - 71 / 1920 * v4
                           + 17253 / 339200 * v5 - 22 / 525 * v6 + 1 / 40 * vn)
@@ -387,17 +435,13 @@ def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: floa
             fired.append(_GROWTH)
         t, u, v, w = t_new, un, vn, wn
 
-    s = np.array(steps, dtype=float).reshape(-1, 17)
-    pieces = np.column_stack((s[:, :4], s[:, 5:11] @ _P, s[:, 11:17] @ _P))
-    lower = np.minimum(s[:, 0], s[:, 4])
-
     def u_error(end):
         # an error e in U' at r_i shifts U at the end by about e |end - r_i|
         return err_u + abs(end * err_v - err_vr)
 
     if not fired:
-        return _Leg(pieces, lower, t, (u, v), None, u_error(t))
-    p = pieces[-1].tolist()
+        return _Leg(steps, t, (u, v), None, u_error(t))
+    p = _last_piece(steps)
     t_old = steps[-1][0]
     g = {_ZERO: lambda r: _eval_piece(p, r)[0],
          _TURN: lambda r: _eval_piece(p, r)[1],
@@ -407,7 +451,7 @@ def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: floa
         root = brentq(g[e], t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
         roots.append((direction * root, e, root))
     _, event, end = min(roots)  # the first root along the leg; ties go by event order
-    return _Leg(pieces, lower, end, _eval_piece(p, end), event, u_error(end))
+    return _Leg(steps, end, _eval_piece(p, end), event, u_error(end))
 
 
 def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
@@ -450,13 +494,14 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
         legs.append((+1, _regular_start(f, R, M, +1, eps)))
         legs.append((-1, _regular_start(f, R, M, -1, eps)))
         taylor, r_lo, r_hi = _taylor_piece(R, M, fM, 1.0), R - eps, R + eps
-    pieces, lower = [np.array([taylor])], [np.array([r_lo])]
+    prof._taylor = (taylor, r_lo)
 
     if fM <= 0:
         prof.failure = f"core is not a strict local maximum: f(M) = {fM} <= 0"
+        prof.failure_code = FailureCode.NOT_ADMISSIBLE
 
     pole_eps_hi = max(1e-9, 1e-12 * abs(hi)) if math.isfinite(hi) else 0.0
-    diagnostics = []
+    diagnostics = []  # (FailureCode, text)
 
     for side, st in legs:
         if side > 0:
@@ -464,8 +509,7 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
         else:
             target = lo + _ZERO_FLOOR if singular_lo else lo
         leg = _run_leg(b, f, st, target, opts, M)
-        pieces.append(leg.pieces)
-        lower.append(leg.lower)
+        prof._legs.append(leg.steps)
         r_lo, r_hi = min(r_lo, st.r0, leg.end), max(r_hi, st.r0, leg.end)
 
         if leg.event == _ZERO:
@@ -473,7 +517,8 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
             # stall threshold scales with the slope: what matters is the
             # radius error |U|/|U'|, not |U| itself
             if abs(uz) > opts.zero_tol * max(1.0, M) * (1.0 + abs(duz)):
-                diagnostics.append(f"zero refinement stalled at r={rz} (|U|={abs(uz)})")
+                diagnostics.append((FailureCode.NOT_ADMISSIBLE,
+                                    f"zero refinement stalled at r={rz} (|U|={abs(uz)})"))
             # location error ~ (accumulated value error of U at the zero) / slope:
             # the tolerance floor plus the leg's local error estimates, which
             # dominate on long or curved legs; plus the resolution of the root
@@ -484,21 +529,22 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
             else:
                 prof.r_minus, prof.dU_minus, prof.r_minus_err = rz, duz, err
         elif leg.event == _TURN:  # U' vanished with U still positive
-            diagnostics.append(f"derivative vanished before the zero at r={leg.end} "
-                               f"(U={leg.state[0]}); profile turns")
+            diagnostics.append((FailureCode.NOT_ADMISSIBLE,
+                                f"derivative vanished before the zero at r={leg.end} "
+                                f"(U={leg.state[0]}); profile turns"))
         elif leg.event == _GROWTH:
-            diagnostics.append(f"profile grew past {opts.u_growth_cap} * max(1, M); aborted leg")
+            diagnostics.append((FailureCode.NOT_ADMISSIBLE,
+                                f"profile grew past {opts.u_growth_cap} * max(1, M); aborted leg"))
+        elif singular_hi and side > 0:
+            diagnostics.append((FailureCode.NO_ZERO, f"reached the singular endpoint r={hi} "
+                                "with U > 0; no zero on the plus side"))
+        elif side > 0:
+            diagnostics.append((FailureCode.NO_ZERO, f"no sign change of U before the cap "
+                                f"r={target} (r_max_cap={opts.r_max_cap})"))
         else:
-            if singular_hi and side > 0:
-                diagnostics.append(
-                    f"reached the singular endpoint r={hi} with U > 0; no zero on the plus side")
-            elif side > 0:
-                diagnostics.append(
-                    f"no sign change of U before the cap r={target} (r_max_cap={opts.r_max_cap})")
-            else:
-                diagnostics.append(f"no sign change of U down to r={target}")
+            diagnostics.append((FailureCode.NO_ZERO, f"no sign change of U down to r={target}"))
 
-    prof._set_pieces(np.concatenate(pieces), np.concatenate(lower), r_lo, r_hi)
+    prof.r_lo, prof.r_hi = r_lo, r_hi
 
     if at_lo_pole:
         have_zeros = prof.r_plus is not None
@@ -507,17 +553,19 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
     else:
         have_zeros = prof.r_plus is not None and prof.r_minus is not None
     if prof.failure is None and diagnostics:
-        prof.failure = "; ".join(diagnostics)
+        codes = [code for code, _ in diagnostics]
+        prof.failure = "; ".join(text for _, text in diagnostics)
+        prof.failure_code = (FailureCode.NO_ZERO if FailureCode.NO_ZERO in codes
+                             else FailureCode.NOT_ADMISSIBLE)
     if prof.failure is None and have_zeros:
         prof.admissible = True
     elif prof.failure is None:
         prof.failure = "missing boundary zero"
+        prof.failure_code = FailureCode.NOT_ADMISSIBLE
 
     if strict and not prof.admissible:
-        msg = prof.failure or "profile not admissible"
-        if "no sign change" in msg or "singular endpoint" in msg:
-            raise NoZeroFound(msg, profile=prof)
-        raise NotAdmissible(msg, profile=prof)
+        exc = NoZeroFound if prof.failure_code is FailureCode.NO_ZERO else NotAdmissible
+        raise exc(prof.failure, profile=prof)
     return prof
 
 

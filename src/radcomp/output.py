@@ -19,12 +19,7 @@ def fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return "%.17g" % x
+    return "%.17g" % x  # also prints nan, inf, -inf and -0
 
 
 def _jsonify(obj):

@@ -44,14 +44,16 @@ class SpaceForm:
     n: int
     k: float
     r_bar: float = field(init=False)
+    _sqrt_abs_k: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
             raise DomainError(f"dimension must be an integer >= 2, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "k", float(self.k))
-        rb = math.pi / math.sqrt(self.k) if self.k > 0 else math.inf
-        object.__setattr__(self, "r_bar", rb)
+        s = math.sqrt(abs(self.k))
+        object.__setattr__(self, "_sqrt_abs_k", s)
+        object.__setattr__(self, "r_bar", math.pi / s if self.k > 0 else math.inf)
 
     # -- warping function and derivative ------------------------------------
 
@@ -65,10 +67,9 @@ class SpaceForm:
         k = self.k
         if abs(k) * r * r < _SERIES_CUT:
             return _sk_series(k, r)
+        s = self._sqrt_abs_k
         if k > 0.0:
-            s = math.sqrt(k)
             return math.sin(s * min(r, self.r_bar)) / s
-        s = math.sqrt(-k)
         return math.sinh(s * r) / s
 
     def dsk(self, r: float) -> float:
@@ -80,19 +81,32 @@ class SpaceForm:
         if abs(k) * r * r < _SERIES_CUT:
             return _dsk_series(k, r)
         if k > 0.0:
-            return math.cos(math.sqrt(k) * r)
-        return math.cosh(math.sqrt(-k) * r)
+            return math.cos(self._sqrt_abs_k * r)
+        return math.cosh(self._sqrt_abs_k * r)
 
     # -- cotangent / tangent ratios ------------------------------------------
 
     def cotk(self, r: float) -> float:
-        """s_k'(r) / s_k(r); simple pole at r = 0 (and at r_bar for k > 0)."""
+        """s_k'(r) / s_k(r); simple pole at r = 0 (and at r_bar for k > 0).
+
+        The shooting loop calls this at every stage, so `dsk(r) / sk(r)` is
+        spelled out here: the same operations in the same order, without the
+        range checks that the two checks below already imply.
+        """
         r = float(r)
         if r <= 0.0:
             raise SingularityError(f"cot_k has a pole at r = 0 (got r = {r})")
         if r >= self.r_bar:
             raise DomainError(f"radius {r} outside (0, r_bar = {self.r_bar})")
-        return self.dsk(r) / self.sk(r)
+        k = self.k
+        if abs(k) * r * r < _SERIES_CUT:
+            q = k * r * r
+            return ((1.0 - q / 2.0 * (1.0 - q / 12.0 * (1.0 - q / 30.0)))
+                    / (r * (1.0 - q / 6.0 * (1.0 - q / 20.0 * (1.0 - q / 42.0)))))
+        s = self._sqrt_abs_k
+        if k > 0.0:
+            return math.cos(s * r) / (math.sin(s * r) / s)
+        return math.cosh(s * r) / (math.sinh(s * r) / s)
 
     def tank(self, r: float) -> float:
         """s_k(r) / s_k'(r); for k > 0 singular at r_bar/2 where s_k' vanishes."""
@@ -122,11 +136,10 @@ class SpaceForm:
         q = k * r[small] * r[small]
         out[small] = r[small] * (1.0 - q / 6.0 * (1.0 - q / 20.0 * (1.0 - q / 42.0)))
         big = ~small
+        s = self._sqrt_abs_k
         if k > 0.0:
-            s = math.sqrt(k)
             out[big] = np.sin(s * r[big]) / s
         elif k < 0.0:
-            s = math.sqrt(-k)
             out[big] = np.sinh(s * r[big]) / s
         else:
             out[big] = r[big]

@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import radcomp
 from radcomp.cli import main
 from radcomp.output import fmt
 
@@ -24,6 +26,17 @@ def test_fmt_roundtrip():
     assert fmt(float("nan")) == "nan"
     assert fmt(True) == "true"
     assert fmt(7) == "7"
+
+
+def test_fmt_pinned_values():
+    """The 17-digit float format covers the special values with no case of its own."""
+    cases = [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (-0.0, "-0"),
+             (0.0, "0"), (1e-300, "1e-300"), (0.1, "0.10000000000000001"),
+             (np.float64(0.1), "0.10000000000000001"), (np.float64(math.nan), "nan"),
+             (np.float64(-math.inf), "-inf"), (np.float64(-0.0), "-0"),
+             (True, "true"), (False, "false"), (7, "7"), (np.int64(-3), "-3"), (None, "")]
+    for x, text in cases:
+        assert fmt(x) == text, x
 
 
 def test_profile_subcommand(tmp_path, capsys):
@@ -213,8 +226,12 @@ def test_selftest_single_criterion(capsys):
 
 
 def test_console_script_entrypoint():
+    # the child imports the same radcomp as this process, installed or not
+    src = str(Path(radcomp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     res = subprocess.run([sys.executable, "-m", "radcomp.cli", "profile", "--n", "2",
                           "--k", "0", "--f", "constant:1", "--R", "0", "--M", "0.5"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert res.returncode == 0
     assert "r,U,dU" in res.stdout

@@ -11,7 +11,8 @@ from radcomp import (CauchyData, HelmholtzS3, Nonlinearity, SerrinExplicit, Solv
                      singular_start, solve_generic, solve_profile, pole_residue,
                      polynomial)
 from radcomp.errors import DomainError, NoZeroFound, NotAdmissible, StepFailure
-from radcomp.ode import _eval_piece, reflect_profile_check
+from radcomp.ode import (FailureCode, _eval_piece, _last_piece, _leg_pieces,
+                         _regular_start, _run_leg, reflect_profile_check)
 
 
 def test_flat_centered_oracle():
@@ -200,6 +201,17 @@ def test_not_admissible_turning_profile():
     assert "derivative vanished" in str(exc.value)
 
 
+def test_no_zero_found_at_singular_endpoint():
+    # n = 2 on the sphere: U' ~ 2 f / (r - pi) near the far pole, so U falls
+    # only logarithmically and a small forcing keeps U > 0 up to r_bar
+    sf = SpaceForm(2, 1.0)
+    with pytest.raises(NoZeroFound) as exc:
+        solve_profile(sf, constant(1e-3), CauchyData(0.0, 1.0))
+    prof = exc.value.profile
+    assert "reached the singular endpoint" in str(exc.value)
+    assert prof.failure_code is FailureCode.NO_ZERO and prof.r_plus is None
+
+
 def test_nonstrict_returns_diagnostic_profile():
     sf = SpaceForm(3, 0.0)
     prof = solve_profile(sf, constant(1e-3), CauchyData(0.0, 1.0),
@@ -246,7 +258,9 @@ def test_profile_csv_export():
 # -- integrator and dense output ---------------------------------------------------
 
 def profile_with_both_legs():
-    return solve_profile(SpaceForm(3, -1.0), serrin_fk(3, -1.0), CauchyData(1.5, 0.25))
+    prof = solve_profile(SpaceForm(3, -1.0), serrin_fk(3, -1.0), CauchyData(1.5, 0.25))
+    prof.u(1.5)  # the pieces are built on the first evaluation
+    return prof
 
 
 def test_dense_array_matches_pointwise_bitwise():
@@ -275,6 +289,58 @@ def test_dense_output_continuous_across_steps():
     for left, right, r in zip(pieces, pieces[1:], prof._lower[1:].tolist()):
         for a, b in zip(_eval_piece(left, r), _eval_piece(right, r)):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+def test_each_stage_node_is_evaluated_once():
+    """Per attempted step, b at its 5 distinct nodes (stage 6 and the FSAL
+    stage share t + h) and f at its 6 stages; plus one call of each at the
+    start and one for the initial-step probe."""
+    sf, f = SpaceForm(3, -1.0), serrin_fk(3, -1.0)
+    calls = {"b": 0, "f": 0}
+
+    def b(r):
+        calls["b"] += 1
+        return sf.radial_coefficient(r)
+
+    def g(u):
+        calls["f"] += 1
+        return f(u)
+
+    start = _regular_start(f, 1.5, 0.25, +1, 1e-6)
+    leg = _run_leg(b, g, start, 50.0, SolveOptions(), 0.25)
+    assert leg.event is not None and len(leg.steps) > 10
+    assert (calls["b"] - 2) / 5 == (calls["f"] - 2) / 6 >= len(leg.steps)
+
+
+def test_dense_output_built_on_first_use_matches_immediate():
+    """A profile first evaluated after other solves gives bitwise the values
+    of one evaluated at once, and its zeros are where its pieces vanish."""
+    sf, f, cd = SpaceForm(3, 1.0), serrin_fk(3, 1.0), CauchyData(1.0, 1.0)
+    now = solve_profile(sf, f, cd)
+    rs = np.linspace(now.r_lo, now.r_hi, 257)
+    expected = [now.u(rs), now.du(rs), now.d2u(rs), now.u(1.25)]
+    later = solve_profile(sf, f, cd)
+    solve_profile(sf, f, CauchyData(0.5, 0.3))
+    solve_profile(SpaceForm(2, -1.0), serrin_fk(2, -1.0), CauchyData(1.0, 0.2))
+    assert later._pieces is None and later.r_lo == now.r_lo and later.r_hi == now.r_hi
+    first = later.u(1.25)  # the scalar path builds the pieces here
+    got = [later.u(rs), later.du(rs), later.d2u(rs), first]
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+    # the event root came from the same polynomial as the built last piece
+    assert later.du(later.r_plus) == later.dU_plus
+    assert later.du(later.r_minus) == later.dU_minus
+
+
+def test_last_piece_is_bitwise_the_last_built_piece():
+    """Event location builds only the last piece of a leg; on random step rows
+    it must equal the last row of the whole leg's pieces (a product of one or
+    two rows is rounded differently by BLAS on some of these)."""
+    rng = np.random.default_rng(7)
+    for n in range(1, 41):
+        for _ in range(10):
+            steps = (rng.standard_normal((n, 17)) * rng.uniform(0.1, 10.0, (n, 1))).tolist()
+            assert _last_piece(steps) == _leg_pieces(steps)[0][-1].tolist()
 
 
 def test_d2u_accepts_arrays():

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from radcomp import SpaceForm
 from radcomp.errors import DomainError, SingularityError
+from radcomp.spaceform import _SERIES_CUT
 
 
 def test_branch_values():
@@ -110,3 +111,58 @@ def test_sk_array_matches_scalar():
     vals = sf.sk_array(rs)
     for r, v in zip(rs, vals):
         assert v == pytest.approx(sf.sk(r), rel=1e-15, abs=1e-15)
+
+
+def _radius(sf, where, t):
+    """A radius in (0, r_bar) next to 0, next to r_bar (large r when r_bar is
+    infinite), on either side of the series cutover |k| r^2 = _SERIES_CUT, or
+    in between."""
+    k, s = sf.k, math.sqrt(abs(sf.k))
+    if where == "pole":
+        return 10.0 ** (-300.0 + 299.0 * t)
+    if where == "far":
+        if k > 0:
+            return sf.r_bar * (1.0 - 10.0 ** (-15.0 + 14.0 * t))
+        return (1.0 + 700.0 * t) / s if k < 0 else 10.0 ** (6.0 * t)
+    if where == "cut":
+        return math.sqrt(_SERIES_CUT / abs(k)) * (1.0 + 1e-3 * (t - 0.5)) if k else t
+    return t * min(sf.r_bar, 10.0)
+
+
+@given(k=st.one_of(st.floats(-5.0, -1e-12), st.just(0.0), st.floats(1e-12, 5.0)),
+       n=st.integers(2, 6), where=st.sampled_from(["pole", "far", "cut", "middle"]),
+       t=st.floats(0.0, 1.0))
+# t = 0 lands on the series side of the cutover and t = 1 on the closed-form side
+@example(k=1.0, n=3, where="cut", t=0.0)
+@example(k=1.0, n=3, where="cut", t=1.0)
+@example(k=-1.0, n=3, where="cut", t=0.0)
+@example(k=-1.0, n=3, where="cut", t=1.0)
+@settings(max_examples=400)
+def test_cotk_is_dsk_over_sk_bitwise(k, n, where, t):
+    """cot_k evaluates s_k'/s_k on its own; it must agree with the quotient
+    of the two kernels to the last bit, on every branch."""
+    sf = SpaceForm(n, k)
+    r = _radius(sf, where, t)
+    assume(0.0 < r < sf.r_bar)
+    assert sf.cotk(r) == sf.dsk(r) / sf.sk(r)
+    assert sf.radial_coefficient(r) == (sf.n - 1) * sf.cotk(r)
+
+
+@given(k=st.one_of(st.floats(-5.0, -1e-12), st.just(0.0), st.floats(1e-12, 5.0)),
+       t=st.floats(0.0, 1.0))
+@settings(max_examples=100)
+def test_cotk_range_errors(k, t):
+    """SingularityError at r <= 0 and DomainError (not its pole subclass) at
+    r >= r_bar, from cot_k and from the radial coefficient alike."""
+    sf = SpaceForm(3, k)
+    for fn in (sf.cotk, sf.radial_coefficient):
+        for r in (0.0, -0.0, -t, -5e-324):
+            with pytest.raises(SingularityError):
+                fn(r)
+        far = [math.inf]
+        if k > 0:
+            far += [sf.r_bar, sf.r_bar * (1.0 + t), math.nextafter(sf.r_bar, math.inf)]
+        for r in far:
+            with pytest.raises(DomainError) as exc:
+                fn(r)
+            assert type(exc.value) is DomainError

@@ -136,24 +136,6 @@ class ComparisonPair:
             raise DomainError(f"radius {r} outside the branch [{lo}, {hi}]")
 
 
-# module-level forms matching the operation surface -----------------------------------
-
-def chi_inverse(pair: ComparisonPair, s: float) -> float:
-    return pair.chi_inverse(s)
-
-
-def model_gradient_W(pair: ComparisonPair, s: float) -> float:
-    return pair.model_gradient(s)
-
-
-def lambda_of_r(pair: ComparisonPair, r: float) -> float:
-    return pair.lambda_of_r(r)
-
-
-def mu_of_r(pair: ComparisonPair, r: float) -> float:
-    return pair.mu_of_r(r)
-
-
 @dataclass
 class MuScanReport:
     min_mu: float

@@ -61,10 +61,6 @@ class IsoparametricFamily:
         return (self.n - 1) * math.cos(ls) / math.sin(ls) - self.c / (self.ell * math.sin(ls))
 
 
-def iso_coefficient(family: IsoparametricFamily, s: float) -> float:
-    return family.coefficient(s)
-
-
 @dataclass
 class IsoProfile:
     family: IsoparametricFamily

@@ -43,10 +43,6 @@ class Nonlinearity:
         h = 1e-6 * max(1.0, abs(x))
         return (self.func(x + h) - self.func(x - h)) / (2.0 * h)
 
-    @property
-    def has_derivative(self):
-        return self.deriv is not None
-
     def describe(self):
         return {"family": self.name, "params": dict(self.params), "sup_if": self.sup_if}
 

@@ -32,24 +32,10 @@ from .nonlinearity import Nonlinearity
 from .spaceform import SpaceForm
 
 _ZERO_FLOOR = 1e-13  # inward integration floor above a pole at the left endpoint
+_ZERO_TOL = 1e-11    # |U| acceptance at refined zeros, relative to M
+_GROWTH_CAP = 1e6    # |U| > cap * max(1, M) aborts a runaway leg
 _RANGE_TOL = 1e-12   # evaluation slack past the ends of the computed range
 _EPS = float(np.finfo(float).eps)
-
-# Quartic dense output of the Dormand-Prince pair (Shampine 1986), rows for
-# the stages k1, k3, k4, k5, k6, k7 (the row of k2 is zero). Over a step from
-# t with size h, y(t + d) = y(t) + d (q0 + x (q1 + x (q2 + x q3))), x = d / h,
-# with q = K^T P for the stacked stages K.
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 
 # leg events, in the order that breaks ties between simultaneous roots
 _ZERO, _TURN, _GROWTH = 0, 1, 2
@@ -81,9 +67,6 @@ class SolveOptions:
     atol: float = 1e-12
     r_max_cap: float = 200.0      # outward span past R on unbounded intervals
     eps_start: Optional[float] = None  # startup offset; default 1e-6 (scaled down near poles)
-    zero_tol: float = 1e-11       # |U| acceptance at refined zeros, relative to M
-    u_growth_cap: float = 1e6     # |U| > cap * max(1, M) aborts a runaway leg
-    max_step: float = math.inf
 
 
 @dataclass
@@ -120,26 +103,6 @@ def _regular_start(f: Nonlinearity, R: float, M: float, side: int, eps: float) -
     return StartState(R + side * eps, M - fM * eps * eps / 2.0, -side * fM * eps, 0.0)
 
 
-def singular_start(sf_or_b, f: Nonlinearity, cd: CauchyData,
-                   eps: float = 1e-6) -> StartState:
-    """Taylor startup state next to a coefficient pole.
-
-    Accepts a SpaceForm (radial coefficient, pole at r = 0 or at r_bar for
-    k > 0) or a bare coefficient callable with its pole at cd.R.
-    """
-    if eps <= 0:
-        raise DomainError("startup offset must be positive")
-    if isinstance(sf_or_b, SpaceForm):
-        sf = sf_or_b
-        b = sf.radial_coefficient
-        if cd.R == 0.0:
-            return _pole_start(b, f, cd.M, 0.0, +1, eps)
-        if sf.k > 0 and abs(cd.R - sf.r_bar) < 1e-12 * sf.r_bar:
-            return _pole_start(b, f, cd.M, sf.r_bar, -1, eps, scale=sf.r_bar)
-        raise DomainError("singular start requires R at a pole of the coefficient")
-    return _pole_start(sf_or_b, f, cd.M, cd.R, +1, eps)
-
-
 class ModelProfile:
     """Dense numerical solution of the profile equation with its zeros.
 
@@ -151,12 +114,11 @@ class ModelProfile:
     take a radius or an array of radii.
     """
 
-    def __init__(self, b, f, cauchy, opts, sf=None):
+    def __init__(self, b, f, cauchy, sf=None):
         self.sf: Optional[SpaceForm] = sf
         self.b = b
         self.f = f
         self.cauchy = cauchy
-        self.opts = opts
         self.r_minus: Optional[float] = None
         self.r_plus: Optional[float] = None
         self.dU_minus: Optional[float] = None
@@ -288,26 +250,33 @@ def _taylor_piece(center, M, fM, one_plus_b1):
             -fM / one_plus_b1, 0.0, 0.0, 0.0]
 
 
+def _quartic(k1, k3, k4, k5, k6, k7):
+    """Coefficients (q0, q1, q2, q3) of the quartic dense output of one
+    Dormand-Prince step (Shampine 1986) from its stages k1, k3, ..., k7 (k2
+    does not enter): over the step from t with size h,
+    y(t + d) = y(t) + d (q0 + x (q1 + x (q2 + x q3))), x = d / h.
+
+    The stages are floats of one step or arrays of a whole leg's steps. The
+    products and sums are written out in one fixed order, so both give the
+    same bits; a matrix product would round by its BLAS kernel and its tiling.
+    """
+    return (k1,
+            -8048581381 / 2820520608 * k1 + 131558114200 / 32700410799 * k3
+            - 1754552775 / 470086768 * k4 + 127303824393 / 49829197408 * k5
+            - 282668133 / 205662961 * k6 + 40617522 / 29380423 * k7,
+            8663915743 / 2820520608 * k1 - 68118460800 / 10900136933 * k3
+            + 14199869525 / 1410260304 * k4 - 318862633887 / 49829197408 * k5
+            + 2019193451 / 616988883 * k6 - 110615467 / 29380423 * k7,
+            -12715105075 / 11282082432 * k1 + 87487479700 / 32700410799 * k3
+            - 10690763975 / 1880347072 * k4 + 701980252875 / 199316789632 * k5
+            - 1453857185 / 822651844 * k6 + 69997945 / 29380423 * k7)
+
+
 def _leg_pieces(steps):
     """The pieces of a leg's accepted-step rows and their lower ends."""
-    s = np.array(steps, dtype=float).reshape(-1, 17)
-    pieces = np.column_stack((s[:, :4], s[:, 5:11] @ _P, s[:, 11:17] @ _P))
-    return pieces, np.minimum(s[:, 0], s[:, 4])
-
-
-def _last_piece(steps):
-    """The last row of `_leg_pieces(steps)` without building the others.
-
-    BLAS rounds a row of a matrix product according to where the row falls
-    in its kernel's tiles, so a product of one row can differ from the same
-    row of the whole product in the last bit. The stages of the last step are
-    therefore multiplied as a product of the full shape, which rounds its
-    last row exactly as `_leg_pieces` does.
-    """
-    last = steps[-1]
-    stages = np.repeat(np.array([last[5:11], last[11:17]])[:, None], len(steps), axis=1)
-    q_u, q_v = (stages @ _P)[:, -1].tolist()
-    return [*last[:4], *q_u, *q_v]
+    t, h, u, v, t_new, *k = np.array(steps, dtype=float).reshape(-1, 17).T.copy()
+    pieces = np.column_stack((t, h, u, v, *_quartic(*k[:6]), *_quartic(*k[6:])))
+    return pieces, np.minimum(t, t_new)
 
 
 @dataclass
@@ -326,7 +295,7 @@ def _rms(a, b):
     return math.hypot(a, b) * math.sqrt(0.5)
 
 
-def _initial_step(b, f, t, u, v, w, target, direction, rtol, atol, max_step):
+def _initial_step(b, f, t, u, v, w, target, direction, rtol, atol):
     """Starting step size from the local scale of the solution and of its
     first two derivatives (Hairer, Norsett & Wanner, II.4)."""
     span = abs(target - t)
@@ -341,7 +310,7 @@ def _initial_step(b, f, t, u, v, w, target, direction, rtol, atol, max_step):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span, max_step)
+    return min(100 * h0, h1, span)
 
 
 def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: float) -> _Leg:
@@ -353,21 +322,19 @@ def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: floa
     step ends; its radius is the root of that step's dense output.
     """
     rtol = max(opts.rtol, 100 * _EPS)  # the floor RK45 puts on rtol
-    atol, max_step = opts.atol, opts.max_step
-    if not max_step > 0:
-        raise DomainError("max_step must be positive")
-    cap = opts.u_growth_cap * max(1.0, M)
+    atol = opts.atol
+    cap = _GROWTH_CAP * max(1.0, M)
     t, u, v = start.r0, start.u0, start.du0
     w = -b(t) * v - f(u)
     steps = []   # t, h, U, V, t_new, then the stages of U' and of V'
     fired = []
     err_u = err_v = err_vr = 0.0  # sums of |local error| of U, of U', of U' times r
     direction = 1.0 if target >= t else -1.0
-    h_abs = (_initial_step(b, f, t, u, v, w, target, direction, rtol, atol, max_step)
+    h_abs = (_initial_step(b, f, t, u, v, w, target, direction, rtol, atol)
              if t != target else 0.0)
     while t != target and not fired:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = min(max(h_abs, min_step), max_step)
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if not h_abs >= min_step:  # a nan step size fails here too
@@ -441,8 +408,9 @@ def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: floa
 
     if not fired:
         return _Leg(steps, t, (u, v), None, u_error(t))
-    p = _last_piece(steps)
-    t_old = steps[-1][0]
+    last = steps[-1]
+    p = [*last[:4], *_quartic(*last[5:11]), *_quartic(*last[11:17])]
+    t_old = last[0]
     g = {_ZERO: lambda r: _eval_piece(p, r)[0],
          _TURN: lambda r: _eval_piece(p, r)[1],
          _GROWTH: lambda r: _eval_piece(p, r)[0] - cap}
@@ -469,7 +437,7 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
     if not (lo <= R < hi) and not (singular_hi and abs(R - hi) <= 1e-12 * max(1.0, abs(hi))):
         raise DomainError(f"core radius {R} outside the interval [{lo}, {hi})")
 
-    prof = ModelProfile(b, f, cd, opts, sf=sf)
+    prof = ModelProfile(b, f, cd, sf=sf)
     width = (hi - lo) if math.isfinite(hi) else 1.0
     eps_base = opts.eps_start if opts.eps_start is not None else 1e-6 * min(1.0, width)
 
@@ -516,7 +484,7 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
             rz, (uz, duz) = leg.end, leg.state
             # stall threshold scales with the slope: what matters is the
             # radius error |U|/|U'|, not |U| itself
-            if abs(uz) > opts.zero_tol * max(1.0, M) * (1.0 + abs(duz)):
+            if abs(uz) > _ZERO_TOL * max(1.0, M) * (1.0 + abs(duz)):
                 diagnostics.append((FailureCode.NOT_ADMISSIBLE,
                                     f"zero refinement stalled at r={rz} (|U|={abs(uz)})"))
             # location error ~ (accumulated value error of U at the zero) / slope:
@@ -534,7 +502,7 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
                                 f"(U={leg.state[0]}); profile turns"))
         elif leg.event == _GROWTH:
             diagnostics.append((FailureCode.NOT_ADMISSIBLE,
-                                f"profile grew past {opts.u_growth_cap} * max(1, M); aborted leg"))
+                                f"profile grew past {_GROWTH_CAP} * max(1, M); aborted leg"))
         elif singular_hi and side > 0:
             diagnostics.append((FailureCode.NO_ZERO, f"reached the singular endpoint r={hi} "
                                 "with U > 0; no zero on the plus side"))

@@ -61,14 +61,19 @@ def write_text(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
+def _dense_rows(profile, lo, hi, npoints):
+    """(x, U, U') rows on a uniform grid of npoints over [lo, hi]."""
+    xs = np.linspace(lo, hi, npoints)
+    return zip(xs.tolist(), profile.u(xs).tolist(), profile.du(xs).tolist())
+
+
 def profile_csv_lines(profile, npoints: int = 401):
     """r, U, dU on a uniform grid over the computed support, with the exact
     boundary radii included, preceded by the JSON summary header."""
     lo = profile.r_minus if profile.r_minus is not None else profile.r_lo
     hi = profile.r_plus if profile.r_plus is not None else profile.r_hi
-    rs = np.linspace(lo, hi, npoints)
-    rows = [(r, profile.u(r), profile.du(r)) for r in rs]
-    return csv_lines(("r", "U", "dU"), rows, header_obj=profile.summary())
+    return csv_lines(("r", "U", "dU"), _dense_rows(profile, lo, hi, npoints),
+                     header_obj=profile.summary())
 
 
 def tau_csv_lines(table):
@@ -95,9 +100,8 @@ def iso_csv_lines(iso, npoints: int = 401):
     prof = iso.profile
     lo = iso.s_minus if iso.s_minus is not None else prof.r_lo
     hi = iso.s_plus if iso.s_plus is not None else prof.r_hi
-    ss = np.linspace(lo, hi, npoints)
-    rows = [(s, prof.u(s), prof.du(s)) for s in ss]
-    return csv_lines(("s", "Z", "dZ"), rows, header_obj=iso.header())
+    return csv_lines(("s", "Z", "dZ"), _dense_rows(prof, lo, hi, npoints),
+                     header_obj=iso.header())
 
 
 def gap_curve_csv_lines(curve):

@@ -61,9 +61,6 @@ class TauTable:
         vals = [row.tau_minus for row in self.ok_rows if math.isfinite(row.tau_minus)]
         return min(vals) if vals else math.nan
 
-    def column(self, name):
-        return np.array([getattr(row, name) for row in self.rows])
-
 
 @dataclass
 class GapEstimate:
@@ -71,12 +68,6 @@ class GapEstimate:
     gap: list                 # [] (empty), [v] (point), or [lo, hi]
     method: str               # exact-symmetry | asymptote-fit | single-point
     asymptote_data: Optional[dict] = None
-
-    @property
-    def gap_width(self) -> float:
-        if len(self.gap) == 2:
-            return self.gap[1] - self.gap[0]
-        return 0.0
 
 
 def normalization_constant(sf: SpaceForm, f: Nonlinearity, M: float,

@@ -225,13 +225,36 @@ def test_selftest_single_criterion(capsys):
     assert "[PASS] criterion  1" in out
 
 
-def test_console_script_entrypoint():
-    # the child imports the same radcomp as this process, installed or not
+def child_env():
+    """Environment for a child process that imports the same radcomp as this
+    process, installed or not, with OpenBLAS left to pick its own kernel."""
     src = str(Path(radcomp.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {key: val for key, val in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_console_script_entrypoint():
     res = subprocess.run([sys.executable, "-m", "radcomp.cli", "profile", "--n", "2",
                           "--k", "0", "--f", "constant:1", "--R", "0", "--M", "0.5"],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=child_env())
     assert res.returncode == 0
     assert "r,U,dU" in res.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["profile", "--n", "3", "--k", "-1", "--f", "serrin", "--R", "1.5", "--M", "0.25"],
+    ["iso", "--ell", "2", "--m1", "1", "--m2", "1", "--n", "3", "--f", "constant:1",
+     "--S", "0.7854", "--M", "0.1"]])
+def test_csv_bytes_do_not_depend_on_the_blas_kernel(args):
+    """OpenBLAS built for several CPUs picks its kernels at run time; the
+    printed profile must not change when another kernel is forced. A BLAS
+    without that choice ignores the variable."""
+    env = child_env()
+    outputs = []
+    for forced in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        res = subprocess.run([sys.executable, "-m", "radcomp", *args], capture_output=True,
+                             env={**env, **forced})
+        assert res.returncode == 0, res.stderr
+        outputs.append(res.stdout)
+    assert outputs[0] == outputs[1]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from radcomp import (CauchyData, IsoparametricFamily, SolveOptions, SpaceForm,
-                     allen_cahn, constant, descent_check, iso_coefficient,
+                     allen_cahn, constant, descent_check,
                      pole_residue, solve_iso_profile, solve_profile)
 from radcomp.errors import DomainError
 
@@ -33,20 +33,20 @@ def test_coefficient_values():
     fam = IsoparametricFamily(1, 2, 2, 3)
     sf = SpaceForm(3, 1.0)
     for s in (0.3, 1.0, 2.5):
-        assert iso_coefficient(fam, s) == pytest.approx(2.0 * sf.cotk(s), rel=1e-14)
+        assert fam.coefficient(s) == pytest.approx(2.0 * sf.cotk(s), rel=1e-14)
     # degree 2 with equal multiplicities: (n-1) cot(2s)
     fam2 = IsoparametricFamily(2, 1, 1, 3)
     for s in (0.2, 0.7, 1.4):
-        assert iso_coefficient(fam2, s) == pytest.approx(
+        assert fam2.coefficient(s) == pytest.approx(
             2.0 * math.cos(2 * s) / math.sin(2 * s), rel=1e-13)
     # degree 3 with equal multiplicities: 3 cot(3s)
     fam3 = IsoparametricFamily(3, 1, 1, 4)
     assert fam3.c == 0.0
     for s in (0.1, 0.5, 1.0):
-        assert iso_coefficient(fam3, s) == pytest.approx(
+        assert fam3.coefficient(s) == pytest.approx(
             3.0 * math.cos(3 * s) / math.sin(3 * s), rel=1e-13)
     with pytest.raises(DomainError):
-        iso_coefficient(fam2, fam2.s_max)
+        fam2.coefficient(fam2.s_max)
 
 
 def test_unbalanced_coefficient_pole_residues():

@@ -8,10 +8,10 @@ from scipy.optimize import brentq
 
 from radcomp import (CauchyData, HelmholtzS3, Nonlinearity, SerrinExplicit, SolveOptions,
                      SpaceForm, affine, allen_cahn, constant, serrin_fk, serrin_flat_radius,
-                     singular_start, solve_generic, solve_profile, pole_residue,
+                     solve_generic, solve_profile, pole_residue,
                      polynomial)
 from radcomp.errors import DomainError, NoZeroFound, NotAdmissible, StepFailure
-from radcomp.ode import (FailureCode, _eval_piece, _last_piece, _leg_pieces,
+from radcomp.ode import (FailureCode, _eval_piece, _leg_pieces, _pole_start, _quartic,
                          _regular_start, _run_leg, reflect_profile_check)
 
 
@@ -122,7 +122,7 @@ def test_event_convergence_under_tol_halving():
 
 def test_singular_start_taylor():
     sf = SpaceForm(3, 0.0)
-    st_ = singular_start(sf, constant(1.0), CauchyData(0.0, 1.0), eps=1e-4)
+    st_ = _pole_start(sf.radial_coefficient, constant(1.0), 1.0, 0.0, +1, 1e-4)
     assert st_.b1 == pytest.approx(2.0, abs=1e-9)
     assert st_.u0 == pytest.approx(1.0 - 1e-8 / 6.0, abs=1e-18)
     assert st_.du0 == pytest.approx(-1e-4 / 3.0, rel=1e-9)
@@ -139,7 +139,8 @@ def test_singular_start_richardson_consistency():
 
 def test_singular_start_far_pole():
     sf = SpaceForm(3, 1.0)
-    st_ = singular_start(sf, constant(2.0), CauchyData(sf.r_bar, 1.0), eps=1e-5)
+    st_ = _pole_start(sf.radial_coefficient, constant(2.0), 1.0, sf.r_bar, -1, 1e-5,
+                      scale=sf.r_bar)
     assert st_.r0 == pytest.approx(math.pi - 1e-5)
     assert st_.b1 == pytest.approx(2.0, abs=1e-8)
     assert st_.du0 > 0  # increasing toward the pole maximum
@@ -147,7 +148,7 @@ def test_singular_start_far_pole():
 
 def test_singular_start_degenerate_forcing():
     sf = SpaceForm(3, 0.0)
-    st_ = singular_start(sf, constant(0.0), CauchyData(0.0, 1.0), eps=1e-5)
+    st_ = _pole_start(sf.radial_coefficient, constant(0.0), 1.0, 0.0, +1, 1e-5)
     assert st_.u0 == 1.0 and st_.du0 == 0.0
     with pytest.raises(NotAdmissible):
         solve_profile(sf, constant(0.0), CauchyData(0.0, 1.0),
@@ -332,15 +333,16 @@ def test_dense_output_built_on_first_use_matches_immediate():
     assert later.du(later.r_minus) == later.dU_minus
 
 
-def test_last_piece_is_bitwise_the_last_built_piece():
-    """Event location builds only the last piece of a leg; on random step rows
-    it must equal the last row of the whole leg's pieces (a product of one or
-    two rows is rounded differently by BLAS on some of these)."""
+def test_step_quartic_is_bitwise_its_row_of_the_leg_pieces():
+    """Event location builds one step's quartic from floats, the dense output
+    a whole leg's from arrays; on random step rows they must agree bitwise."""
     rng = np.random.default_rng(7)
     for n in range(1, 41):
         for _ in range(10):
             steps = (rng.standard_normal((n, 17)) * rng.uniform(0.1, 10.0, (n, 1))).tolist()
-            assert _last_piece(steps) == _leg_pieces(steps)[0][-1].tolist()
+            pieces = _leg_pieces(steps)[0].tolist()
+            for s, piece in zip(steps, pieces):
+                assert [*s[:4], *_quartic(*s[5:11]), *_quartic(*s[11:17])] == piece
 
 
 def test_d2u_accepts_arrays():

@@ -7,28 +7,29 @@ distance-to-boundary lower bound, and hot-spot distance bounds.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import DomainError, QuadratureError
 from .ode import ModelProfile
 from .spaceform import SpaceForm
-
-_CHI_SAMPLES = 2001
 
 
 class ComparisonPair:
     """One monotone branch of an admissible model profile.
 
     sign='plus' is the outer branch [R, r_plus] (profile decreasing in r),
-    sign='minus' the inner branch [r_minus, R]. The value-to-radius inverse
-    chi is available both as bracketed root finding on the dense profile
-    (chi_inverse) and as a cached monotone interpolant (chi_fast).
+    sign='minus' the inner branch [r_minus, R]. chi, the inverse that maps a
+    level value back to its radius on the branch, is computed one way
+    (chi_inverse): a bisection of the tabulated piece ends of the profile's
+    dense output finds the polynomial piece that holds the level, and a
+    safeguarded Newton iteration on that piece finds the radius. chi_fast is
+    the same method under the name of a former interpolant route, kept
+    because the benchmark harness calls it.
     """
 
     def __init__(self, profile: ModelProfile, sign: str):
@@ -48,54 +49,52 @@ class ComparisonPair:
         lo, hi = profile.branch_interval(sign)
         self.r_boundary = lo if sign == "minus" else hi
         self._lo, self._hi = lo, hi
-        self._chi_cache = None
+        # U rises with r on the minus branch; +-U is ascending in r on both
+        self._ascending = 1.0 if sign == "minus" else -1.0
+        self._chi_table = None  # (radii, +-U there), built on first use
 
     # -- chi: value -> radius on this branch ---------------------------------------
 
+    def _tabulate(self):
+        """The branch ends and every piece end between them, with +-U at each;
+        U is exactly 0 at the boundary and exactly M at the core."""
+        lo, hi = self._lo, self._hi
+        radii = [lo, *self.profile.piece_ends(lo, hi), hi]
+        levels = self.profile.u(np.array(radii)).tolist()
+        levels[0], levels[-1] = (0.0, self.M) if self.sign == "minus" else (self.M, 0.0)
+        return radii, [self._ascending * u for u in levels]
+
     def chi_inverse(self, s: float) -> float:
-        """Radius with U(radius) = s, by bracketed root finding."""
+        """Radius on this branch with U(radius) = s, for 0 <= s < M."""
         if not (0.0 <= s < self.M):
             raise DomainError(f"level value {s} outside [0, M = {self.M})")
-        lo, hi = self._lo, self._hi
-        if s == 0.0:
-            return self.r_boundary
-        # keep the bracket away from the exact core where U - s may not change sign
-        shrink = 1e-13 * max(1.0, abs(hi))
-        a, b = lo, hi
-        if self.sign == "plus":
-            a = a + shrink
-        else:
-            b = b - shrink
-        g = lambda r: self.profile.u(r) - s
-        ga, gb = g(a), g(b)
-        if ga * gb > 0:
-            # s extremely close to M: the radius is next to the core
-            if abs(s - self.M) < 1e-12 * max(1.0, self.M):
-                return self.R
-            raise DomainError(f"level {s} not bracketed on the {self.sign} branch")
-        return brentq(g, a, b, xtol=1e-14, rtol=8.9e-16)
+        if self._chi_table is None:
+            self._chi_table = self._tabulate()
+        radii, keys = self._chi_table
+        x = self._ascending * s
+        i = bisect_right(keys, x) - 1
+        if keys[i] == x:
+            return radii[i]
+        # one piece of the dense output holds the level: safeguarded Newton on
+        # it, from the chord, keeping a bracket [a, b] of the root
+        a, b = radii[i], radii[i + 1]
+        r = a + (b - a) * (x - keys[i]) / (keys[i + 1] - keys[i])
+        while True:
+            u, du = self.profile._state(r)
+            g = self._ascending * (u - s)
+            if g == 0.0:
+                return r
+            if g < 0.0:
+                a = r
+            else:
+                b = r
+            r_new = r - (u - s) / du
+            tol = 2.0 * math.ulp(r)
+            if abs(r_new - r) <= tol or b - a <= tol:
+                return min(max(r_new, a), b)
+            r = r_new if a < r_new < b else 0.5 * (a + b)
 
-    def _build_chi_cache(self):
-        lo, hi = self._lo, self._hi
-        rs = np.linspace(lo, hi, _CHI_SAMPLES)
-        us = self.profile.u(rs)
-        if self.sign == "plus":
-            rs, us = rs[::-1], us[::-1]  # ascending in u
-        us, idx = np.unique(us, return_index=True)
-        self._chi_cache = PchipInterpolator(us, rs[idx], extrapolate=False)
-
-    def chi_fast(self, s):
-        """Monotone-interpolant version of chi_inverse (cached)."""
-        if self._chi_cache is None:
-            self._build_chi_cache()
-        x = self._chi_cache.x
-        # the cached value range misses [0, M] by rounding at both ends
-        tol = 1e-10 * max(1.0, self.M)
-        s_cl = np.clip(s, x[0], x[-1])
-        if np.any(np.abs(np.asarray(s) - s_cl) > tol):
-            raise DomainError("level value outside the cached branch range")
-        val = self._chi_cache(s_cl)
-        return float(val) if np.ndim(s) == 0 else np.asarray(val)
+    chi_fast = chi_inverse
 
     # -- pointwise quantities --------------------------------------------------------
 
@@ -121,14 +120,6 @@ class ComparisonPair:
         lam = self.lambda_of_r(r)
         n, k = self.sf.n, self.sf.k
         return self.profile.f.d(u) - n * k + (n + 2.0) / n * lam * self.profile.f(u)
-
-    def fbeta_weight(self, r: float) -> float:
-        """(s_k(r) / U'(r))^(2 (n-1)/n), the weight of the comparison function."""
-        du = self.profile.du(r)
-        if du == 0.0:
-            raise DomainError("weight undefined at the core radius")
-        n = self.sf.n
-        return (self.sf.sk(r) / abs(du)) ** (2.0 * (n - 1.0) / n)
 
     def _check_interior(self, r):
         lo, hi = self._lo, self._hi

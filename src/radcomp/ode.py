@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -197,6 +197,15 @@ class ModelProfile:
         return np.array([-self.b(x) * dv - self.f(uv) for x, uv, dv in
                          zip(rs.ravel().tolist(), us.ravel().tolist(), dus.ravel().tolist())]
                         ).reshape(rs.shape)
+
+    def piece_ends(self, lo: float, hi: float) -> list:
+        """The radii strictly inside (lo, hi) where one polynomial piece of
+        the profile ends and the next begins, ascending. Between two
+        consecutive ones, `u` and `du` evaluate a single piece."""
+        if self._pieces is None:
+            self._build()
+        ends = self._lower_list
+        return ends[bisect_right(ends, lo):bisect_left(ends, hi)]
 
     def branch_interval(self, sign: str):
         """Radial interval of the monotone branch ('plus' or 'minus')."""
@@ -544,16 +553,3 @@ def solve_profile(sf: SpaceForm, f: Nonlinearity, cd: CauchyData,
         raise DomainError(f"core radius {cd.R} outside [0, r_bar = {sf.r_bar})")
     return solve_generic(sf.radial_coefficient, f, cd, (0.0, sf.r_bar), opts,
                          singular_lo=True, singular_hi=sf.k > 0, sf=sf, strict=strict)
-
-
-def reflect_profile_check(sf: SpaceForm, f: Nonlinearity, cd: CauchyData,
-                          opts: SolveOptions = SolveOptions(), samples: int = 41) -> float:
-    """Max |U_R(r) - U_{r_bar - R}(r_bar - r)| over a shared grid (k > 0 only)."""
-    if sf.k <= 0:
-        raise DomainError("reflection symmetry requires k > 0")
-    p1 = solve_profile(sf, f, cd, opts)
-    p2 = solve_profile(sf, f, CauchyData(sf.r_bar - cd.R, cd.M), opts)
-    lo = max(p1.r_lo, sf.r_bar - p2.r_hi)
-    hi = min(p1.r_hi, sf.r_bar - p2.r_lo)
-    rs = np.linspace(lo, hi, samples)
-    return float(np.max(np.abs(p1.u(rs) - p2.u(sf.r_bar - rs))))

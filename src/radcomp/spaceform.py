@@ -117,10 +117,6 @@ class SpaceForm:
             raise SingularityError(f"tan_k singular at r_bar/2 = {0.5 * self.r_bar}")
         return self.sk(r) / self.dsk(r)
 
-    def volume_integrand(self, r: float) -> float:
-        """s_k(r)^(n-1), the density of the radial volume element."""
-        return self.sk(r) ** (self.n - 1)
-
     # -- radial drift of the Laplace operator ---------------------------------
 
     def radial_coefficient(self, r: float) -> float:

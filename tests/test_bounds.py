@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from radcomp import (CauchyData, ComparisonPair, SolveOptions, SpaceForm, affine,
                      allen_cahn, area_ratio_factor, constant, curvature_bounds,
@@ -48,10 +50,40 @@ def test_chi_flat_closed_form():
         pair.chi_inverse(-0.1)
 
 
-def test_chi_fast_matches_bracketed():
-    pair = ComparisonPair(annulus_profile(), "plus")
-    for s in np.linspace(0.001, 0.995, 17):
-        assert pair.chi_fast(s) == pytest.approx(pair.chi_inverse(s), abs=1e-9)
+def bracketed_chi(pair, s):
+    """The former route to chi, kept as the oracle: brentq on U - s over the
+    whole branch, with U taken as exactly 0 at the boundary."""
+    lo, hi = pair.profile.branch_interval(pair.sign)
+    g = lambda r: (0.0 if r == pair.r_boundary else pair.profile.u(r)) - s
+    return brentq(g, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+
+@given(k=st.sampled_from([-1.0, 0.0, 1.0]),
+       family=st.sampled_from(["constant", "serrin_fk", "affine"]),
+       n=st.integers(2, 4), sign=st.sampled_from(["plus", "minus"]),
+       u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+       fracs=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_chi_inverse_property(k, family, n, sign, u, v, fracs):
+    """chi lies inside the branch, is monotone in the level, and agrees with
+    bracketed root finding on the dense profile, from the boundary level 0
+    up to levels next to the critical level M."""
+    f = {"constant": constant(1.0), "serrin_fk": serrin_fk(n, k),
+         "affine": affine(-0.25, 2.5)}[family]
+    M = (0.1 + 0.8 * u) / n if family == "serrin_fk" and k < 0 else 0.2 + 1.8 * u
+    R = (0.15 + 0.7 * v) * math.pi / math.sqrt(k) if k > 0 else 0.5 + 2.5 * v
+    pair = ComparisonPair(annulus_profile(n, k, R, M, f), sign)
+    lo, hi = pair.profile.branch_interval(sign)
+    levels = sorted({0.0, math.nextafter(0.0, 1.0), M * (1 - 1e-13), *(M * x for x in fracs)})
+    radii = [pair.chi_inverse(s) for s in levels]
+    assert all(lo <= r <= hi for r in radii)
+    steps = np.diff(radii) if sign == "minus" else -np.diff(radii)
+    assert np.all(steps >= 0)
+    for s, r in zip(levels, radii):
+        # near the core U' -> 0, and U rounds to s over a band of radii of
+        # width about ulp(M) / |U'|: every root finder may land anywhere in it
+        band = 2.0 * math.ulp(M) / abs(pair.profile.du(r))
+        assert abs(r - bracketed_chi(pair, s)) <= 1e-12 * max(1.0, r) + band, (s, r)
 
 
 def test_chi_inverse_near_critical_level():
@@ -72,7 +104,7 @@ def test_model_gradient_two_paths():
     for s in (0.0, 0.4, 0.9):
         w = pair.model_gradient(s)
         assert w == pytest.approx(2 * (M - s) / n, abs=1e-10)
-        w2 = pair.profile.du(pair.chi_fast(s)) ** 2
+        w2 = pair.profile.du(pair.chi_inverse(s)) ** 2
         assert w == pytest.approx(w2, abs=1e-9)
     assert pair.model_gradient(0.0) == pytest.approx(pair.profile.dU_plus ** 2, abs=1e-12)
 
@@ -124,13 +156,6 @@ def test_mu_sign_scan_affine_panel_cases():
     for sign in ("plus", "minus"):
         scan2 = mu_sign_scan(ComparisonPair(prof2, sign))
         assert scan2.all_nonnegative
-
-
-def test_fbeta_weight_positive_finite():
-    pair = flat_pair()
-    for r in (0.4, 1.0, 2.0):
-        w = pair.fbeta_weight(r)
-        assert 0 < w < math.inf
 
 
 # -- curvature ----------------------------------------------------------------------

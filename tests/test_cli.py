@@ -242,6 +242,16 @@ def test_console_script_entrypoint():
     assert "r,U,dU" in res.stdout
 
 
+def test_import_leaves_out_scipy_interpolate():
+    """No module of the package needs scipy.interpolate, so importing the
+    package does not pay for loading it."""
+    res = subprocess.run([sys.executable, "-c", "import sys, radcomp; "
+                          "print('scipy.interpolate' in sys.modules)"],
+                         capture_output=True, text=True, env=child_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("args", [
     ["profile", "--n", "3", "--k", "-1", "--f", "serrin", "--R", "1.5", "--M", "0.25"],
     ["iso", "--ell", "2", "--m1", "1", "--m2", "1", "--n", "3", "--f", "constant:1",

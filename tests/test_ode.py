@@ -12,7 +12,7 @@ from radcomp import (CauchyData, HelmholtzS3, Nonlinearity, SerrinExplicit, Solv
                      polynomial)
 from radcomp.errors import DomainError, NoZeroFound, NotAdmissible, StepFailure
 from radcomp.ode import (FailureCode, _eval_piece, _leg_pieces, _pole_start, _quartic,
-                         _regular_start, _run_leg, reflect_profile_check)
+                         _regular_start, _run_leg)
 
 
 def test_flat_centered_oracle():
@@ -32,6 +32,16 @@ def test_flat_centered_oracle():
 def test_flat_boundary_gradient_identity(n, M):
     prof = solve_profile(SpaceForm(n, 0.0), constant(1.0), CauchyData(0.0, M))
     assert prof.dU_plus ** 2 == pytest.approx(2.0 * M / n, abs=1e-10)
+
+
+def reflect_profile_check(sf, f, cd):
+    """Max |U_R(r) - U_{r_bar - R}(r_bar - r)| over a shared grid (k > 0)."""
+    p1 = solve_profile(sf, f, cd)
+    p2 = solve_profile(sf, f, CauchyData(sf.r_bar - cd.R, cd.M))
+    lo = max(p1.r_lo, sf.r_bar - p2.r_hi)
+    hi = min(p1.r_hi, sf.r_bar - p2.r_lo)
+    rs = np.linspace(lo, hi, 41)
+    return float(np.max(np.abs(p1.u(rs) - p2.u(sf.r_bar - rs))))
 
 
 @given(R=st.floats(0.3, 2.8), M=st.floats(0.2, 2.0))

@@ -22,12 +22,6 @@ def test_cot_tan_values():
     assert SpaceForm(2, 1.0).tank(0.0) == 0.0
 
 
-def test_volume_integrand():
-    assert SpaceForm(2, 0.0).volume_integrand(3.0) == pytest.approx(3.0)
-    assert SpaceForm(3, 1.0).volume_integrand(math.pi / 2) == pytest.approx(1.0)
-    assert SpaceForm(4, -1.0).volume_integrand(1.0) == pytest.approx(math.sinh(1.0) ** 3, rel=1e-13)
-
-
 def test_r_bar():
     assert SpaceForm(3, 4.0).r_bar == pytest.approx(math.pi / 2)
     assert math.isinf(SpaceForm(3, 0.0).r_bar)

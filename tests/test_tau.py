@@ -132,6 +132,16 @@ def test_gap_insufficient_range():
         gap_estimate(table)
 
 
+def test_flat_gap_refuses_disagreeing_tail_fits():
+    """A short k = 0 grid whose cubic tail fits put the plus limit above the
+    minus limit: refused, where an inverted interval used to be returned."""
+    sf = SpaceForm(4, 0.0)
+    grid = np.concatenate([[0.0], np.geomspace(0.46777640403385373, 46.68821753297772, 11)])
+    table = tau_scan(sf, serrin_fk(4, 0.0), 0.5274190798783935, grid)
+    with pytest.raises(InsufficientRange, match="extend the R grid.*limit n = 4"):
+        gap_estimate(table)
+
+
 def test_single_point_gap_flat():
     sf = SpaceForm(2, 0.0)
     f = serrin_fk(2, 0.0)

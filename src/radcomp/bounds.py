@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, QuadratureError
-from .ode import ModelProfile
+from .ode import ModelProfile, bracketed_newton
 from .spaceform import SpaceForm
 
 
@@ -26,10 +25,11 @@ class ComparisonPair:
     sign='minus' the inner branch [r_minus, R]. chi, the inverse that maps a
     level value back to its radius on the branch, is computed one way
     (chi_inverse): a bisection of the tabulated piece ends of the profile's
-    dense output finds the polynomial piece that holds the level, and a
-    safeguarded Newton iteration on that piece finds the radius. chi_fast is
-    the same method under the name of a former interpolant route, kept
-    because the benchmark harness calls it.
+    dense output finds the polynomial piece that holds the level, and
+    `ode.bracketed_newton`, the root finder that also locates the solver's
+    events, finds the radius on that piece. chi_fast is the same method
+    under the name of a former interpolant route, kept because the benchmark
+    harness calls it.
     """
 
     def __init__(self, profile: ModelProfile, sign: str):
@@ -75,24 +75,17 @@ class ComparisonPair:
         i = bisect_right(keys, x) - 1
         if keys[i] == x:
             return radii[i]
-        # one piece of the dense output holds the level: safeguarded Newton on
-        # it, from the chord, keeping a bracket [a, b] of the root
+        # one piece of the dense output holds the level: bracketed Newton on
+        # +-(U - s), which rises across the piece, from the chord
         a, b = radii[i], radii[i + 1]
         r = a + (b - a) * (x - keys[i]) / (keys[i + 1] - keys[i])
-        while True:
-            u, du = self.profile._state(r)
-            g = self._ascending * (u - s)
-            if g == 0.0:
-                return r
-            if g < 0.0:
-                a = r
-            else:
-                b = r
-            r_new = r - (u - s) / du
-            tol = 2.0 * math.ulp(r)
-            if abs(r_new - r) <= tol or b - a <= tol:
-                return min(max(r_new, a), b)
-            r = r_new if a < r_new < b else 0.5 * (a + b)
+        asc, state = self._ascending, self.profile._state
+
+        def gd(r):
+            u, du = state(r)
+            return asc * (u - s), asc * du
+
+        return bracketed_newton(gd, a, b, r)
 
     chi_fast = chi_inverse
 
@@ -211,6 +204,8 @@ def isoperimetric_model_ratio(pair: ComparisonPair) -> float:
     integral of s_k^(n-1) over the branch, divided by s_k(R)^(n-1)."""
     if pair.R <= 0:
         raise DomainError("isoperimetric ratio needs R > 0")
+    from scipy.integrate import quad  # deferred, so importing the package does not load scipy
+
     sf = pair.sf
     lo, hi = pair._lo, pair._hi
     val, err = quad(lambda r: sf.sk(r) ** (sf.n - 1), lo, hi,
@@ -226,6 +221,8 @@ def isoperimetric_coarea_ratio(pair: ComparisonPair) -> float:
     substitution t = M - w^2 removing the endpoint singularity at t = M."""
     if pair.R <= 0:
         raise DomainError("isoperimetric ratio needs R > 0")
+    from scipy.integrate import quad  # deferred, so importing the package does not load scipy
+
     sf, M = pair.sf, pair.M
     t_cap = M * (1.0 - 1e-15)
 

@@ -2,8 +2,9 @@
 
 Everything in this module is evaluated without the shooting integrator:
 elementary formulas, reduction-of-order representations with adaptive
-quadrature, and bracketed root finding. Oracle quality is certified by the
-residual of the defining equation, which the test suite checks directly.
+quadrature, and bracketed Newton root finding on analytic derivatives.
+Oracle quality is certified by the residual of the defining equation, which
+the test suite checks directly.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import DomainError, QuadratureError
+from .ode import bracketed_newton
 from .spaceform import SpaceForm
 
 # -- flat Serrin ball -----------------------------------------------------------
@@ -94,6 +94,8 @@ def g_regularized(n: int, k: int, r: float) -> float:
     if k == 1 and r > math.pi / 2.0:
         # the integrand is symmetric about pi/2, so G is odd under r -> pi - r
         return -g_regularized(n, 1, math.pi - r)
+    from scipy.integrate import quad  # deferred, so importing the package does not load scipy
+
     hi = math.pi / 2.0 if k == 1 else _PHI_INF
     split = 0.1
     val = 0.0
@@ -290,21 +292,33 @@ def asymptotic_gap(n: int, M: float) -> AsymptoticProfile:
         raise DomainError("need n >= 2 and M > 0")
     a = 1.0 / ((n + 1) * (M + 1))
 
+    # V and V' through expm1: written as 1 - a (...), V cancels to first order
+    # in s, and near M = 0 its rounding leaves the roots uncertain by 1e-13
     def V(s):
-        return 1.0 - a * (math.exp(-n * s) + n * math.exp(s))
+        return a * ((n + 1) * M - math.expm1(-n * s) - n * math.expm1(s))
+
+    def dV(s):
+        return n * a * (math.expm1(-n * s) - math.expm1(s))
+
+    def root(lo, hi, side):
+        # V is positive at 0 and falls away from it on either side: the
+        # oriented side * V rises across [lo, hi]; start from the chord
+        v_lo, v_hi = V(lo), V(hi)
+        r = lo + (hi - lo) * v_lo / (v_lo - v_hi)
+        return bracketed_newton(lambda s: (side * V(s), side * dV(s)), lo, hi, r)
 
     hi = 1.0
     while V(hi) > 0:
         hi *= 2.0
         if hi > 1e6:
             raise DomainError("root bracketing failed on the plus side")
-    s_plus = brentq(V, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+    s_plus = root(0.0, hi, -1.0)
     lo = -1.0
     while V(lo) > 0:
         lo *= 2.0
         if lo < -1e6:
             raise DomainError("root bracketing failed on the minus side")
-    s_minus = brentq(V, lo, 0.0, xtol=1e-15, rtol=8.9e-16)
+    s_minus = root(lo, 0.0, 1.0)
     lim_p = n * a * (math.exp(s_plus) - math.exp(-n * s_plus))
     lim_m = n * a * (math.exp(-n * s_minus) - math.exp(s_minus))
     return AsymptoticProfile(n, float(M), s_minus, s_plus, lim_p, lim_m)

@@ -13,7 +13,9 @@ floats (Dormand & Prince 1980; step control, error norm and initial step as
 in Hairer, Norsett & Wanner, Solving ODEs I, II.4, and as in scipy's RK45).
 Every accepted step keeps its stages, from which the quartic dense-output
 polynomial of the step (Shampine 1986) is built when the profile is first
-evaluated; the events of a leg are roots of the polynomial of its last step.
+evaluated. The events of a leg are roots of the polynomial of its last step,
+found by `bracketed_newton`, the one root finder of the package (the branch
+inverse in `bounds` and the limit-profile roots in `closedform` call it too).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NoZeroFound, NotAdmissible, StepFailure
 from .nonlinearity import Nonlinearity
@@ -288,6 +289,66 @@ def _leg_pieces(steps):
     return pieces, np.minimum(t, t_new)
 
 
+def bracketed_newton(gd, a: float, b: float, r: float) -> float:
+    """Root of g in the bracket [a, b], starting from r; gd(r) returns
+    (g(r), g'(r)), and g rises across the bracket (g(a) < 0 < g(b)).
+
+    Each iterate replaces the end of the bracket on its side of the root, so
+    the bracket shrinks on every iteration; where a Newton step would leave
+    it, or g' vanishes, the iteration bisects instead. Stops when the step or
+    the bracket reaches 2 ulp.
+    """
+    if not a <= r <= b:
+        r = 0.5 * (a + b)
+    while True:
+        g, dg = gd(r)
+        if g == 0.0:
+            return r
+        if g < 0.0:
+            a = r
+        else:
+            b = r
+        r_new = r - g / dg if dg != 0.0 else 0.5 * (a + b)
+        tol = 2.0 * math.ulp(r)
+        if abs(r_new - r) <= tol or b - a <= tol:
+            return min(max(r_new, a), b)
+        r = r_new if a < r_new < b else 0.5 * (a + b)
+
+
+def _event_root(p, event: int, start: float, end: float, cap: float) -> float:
+    """Radius between the ends of a step where the event function of the step
+    piece p vanishes: U for a zero, U' for a turn, U - cap for growth. The
+    derivative comes from the same piece."""
+    if event == _TURN:
+        t, h, _, v0, _, _, _, _, c0, c1, c2, c3 = p
+
+        def gd(r):
+            d = r - t
+            x = d / h
+            return (v0 + d * (c0 + x * (c1 + x * (c2 + x * c3))),
+                    c0 + x * (2.0 * c1 + x * (3.0 * c2 + x * (4.0 * c3))))
+    else:
+        shift = cap if event == _GROWTH else 0.0
+
+        def gd(r):
+            u, du = _eval_piece(p, r)
+            return u - shift, du
+    g_start, g_end = gd(start)[0], gd(end)[0]
+    if g_start == 0.0:
+        return start
+    if g_end == 0.0:
+        return end
+    r = start + (end - start) * g_start / (g_start - g_end)  # the chord
+    a, b, g_b = (start, end, g_end) if start < end else (end, start, g_start)
+    sign = math.copysign(1.0, g_b)  # orients g to rise across [a, b]; exact
+
+    def rising(r):
+        g, dg = gd(r)
+        return sign * g, sign * dg
+
+    return bracketed_newton(rising, a, b, r)
+
+
 @dataclass
 class _Leg:
     """One integrated leg: its accepted-step rows, where it stopped, (U, U')
@@ -419,13 +480,9 @@ def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: floa
         return _Leg(steps, t, (u, v), None, u_error(t))
     last = steps[-1]
     p = [*last[:4], *_quartic(*last[5:11]), *_quartic(*last[11:17])]
-    t_old = last[0]
-    g = {_ZERO: lambda r: _eval_piece(p, r)[0],
-         _TURN: lambda r: _eval_piece(p, r)[1],
-         _GROWTH: lambda r: _eval_piece(p, r)[0] - cap}
     roots = []
     for e in fired:
-        root = brentq(g[e], t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+        root = _event_root(p, e, last[0], t, cap)
         roots.append((direction * root, e, root))
     _, event, end = min(roots)  # the first root along the leg; ties go by event order
     return _Leg(steps, end, _eval_piece(p, end), event, u_error(end))

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError, SingularityError
 
 # |k| * r^2 below this: evaluate s_k and its derivative by series to avoid
@@ -122,21 +120,3 @@ class SpaceForm:
     def radial_coefficient(self, r: float) -> float:
         """(n-1) cot_k(r), the first-order coefficient of the radial equation."""
         return (self.n - 1) * self.cotk(r)
-
-    def sk_array(self, r: np.ndarray) -> np.ndarray:
-        """Vectorized warping function (no range checks)."""
-        r = np.asarray(r, dtype=float)
-        k = self.k
-        out = np.empty_like(r)
-        small = np.abs(k) * r * r < _SERIES_CUT
-        q = k * r[small] * r[small]
-        out[small] = r[small] * (1.0 - q / 6.0 * (1.0 - q / 20.0 * (1.0 - q / 42.0)))
-        big = ~small
-        s = self._sqrt_abs_k
-        if k > 0.0:
-            out[big] = np.sin(s * r[big]) / s
-        elif k < 0.0:
-            out[big] = np.sinh(s * r[big]) / s
-        else:
-            out[big] = r[big]
-        return out

@@ -147,8 +147,9 @@ def gap_estimate(table: TauTable, width_tol: float = 1e-8,
     k > 0: the two curves meet (reflection symmetry), gap is empty.
     k = 0 with the torsion-type nonlinearity: both tails converge to the same
     value n algebraically (~1/R); each curve is extrapolated by a cubic in 1/R
-    and the gap collapses to a point. Fits whose plus limit exceeds the minus
-    limit by more than the tolerance raise InsufficientRange.
+    and the gap collapses to a point, with the limit n and each fit's offset
+    from it attached as the prediction. Fits whose plus limit exceeds the
+    minus limit by more than the tolerance raise InsufficientRange.
     k < 0: the tails converge exponentially; the gap is the interval between
     the tail averages, with the limit-profile prediction attached for the
     torsion-type nonlinearity at k = -1.
@@ -192,12 +193,14 @@ def gap_estimate(table: TauTable, width_tol: float = 1e-8,
         data = {"R_max": float(Rm[-1]), "tau_plus_limit": lp, "tau_minus_limit": lm,
                 "width": width}
         tol = max(width_tol, 1e-4)
+        n = table.sf.n  # the closed-form limit of both tails
         if width < -tol:
-            n = table.sf.n
             raise InsufficientRange(
                 f"tau tail fits disagree: plus limit {lp} exceeds minus limit {lm}; "
                 f"extend the R grid (both tails tend to the closed-form limit n = {n}; "
                 f"the fits are off by {lp - n} and {lm - n})")
+        if attach_prediction:
+            data["prediction"] = {"limit": n, "plus_offset": lp - n, "minus_offset": lm - n}
         adm = _merge([adm_plus[0], max(adm_plus[1], lp)],
                      [min(adm_minus[0], lm), adm_minus[1]])
         if abs(width) <= tol:

@@ -242,14 +242,62 @@ def test_console_script_entrypoint():
     assert "r,U,dU" in res.stdout
 
 
-def test_import_leaves_out_scipy_interpolate():
-    """No module of the package needs scipy.interpolate, so importing the
-    package does not pay for loading it."""
+@pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.optimize", "scipy.integrate"])
+def test_import_leaves_out_scipy(module):
+    """Importing the package loads none of these scipy modules: roots come
+    from the package's own bracketed Newton, and quad is imported by the
+    functions that integrate."""
     res = subprocess.run([sys.executable, "-c", "import sys, radcomp; "
-                          "print('scipy.interpolate' in sys.modules)"],
+                          f"print({module!r} in sys.modules)"],
                          capture_output=True, text=True, env=child_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+COLD_SHOOTING = """
+import sys
+import numpy as np
+import radcomp
+from radcomp import bounds
+
+sf, f = radcomp.SpaceForm(3, -1.0), radcomp.serrin_fk(3, -1.0)
+prof = radcomp.solve_profile(sf, f, radcomp.CauchyData(1.5, 0.25))
+table = radcomp.tau_scan(sf, f, 0.25, np.concatenate([[0.0], np.linspace(0.5, 11.0, 12)]))
+est = radcomp.gap_estimate(table)
+assert "vinfty" in est.asymptote_data  # the limit-profile roots were found
+print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
+ratio = bounds.isoperimetric_model_ratio(bounds.ComparisonPair(prof, "plus"))
+print(ratio > 0, "scipy.integrate" in sys.modules)
+"""
+
+
+def test_shooting_and_gap_leave_out_scipy():
+    """A solve, a tau scan and a k = -1 gap estimate with its limit-profile
+    prediction load neither scipy.optimize nor scipy.integrate; the first
+    quadrature then imports quad."""
+    res = subprocess.run([sys.executable, "-c", COLD_SHOOTING], capture_output=True,
+                         text=True, env=child_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["[]", "True True"]
+
+
+def test_failing_hypothesis_test_reports_its_example(tmp_path, pytestconfig):
+    """Under this suite's warning filters a failing property test prints its
+    falsifying example, not an INTERNALERROR from hypothesis's report hook."""
+    if pytestconfig.inipath is None:
+        pytest.skip("no pytest configuration file in use")
+    (tmp_path / "test_always_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_always_fails(x):\n"
+        "    assert x < 0\n")
+    res = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(pytestconfig.inipath), "--rootdir", str(tmp_path),
+                          "test_always_fails.py"],
+                         capture_output=True, text=True, cwd=tmp_path, env=child_env())
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert "Falsifying example" in res.stdout
+    assert "INTERNALERROR" not in res.stdout + res.stderr
 
 
 @pytest.mark.parametrize("args", [

@@ -11,8 +11,10 @@ from radcomp import (CauchyData, HelmholtzS3, Nonlinearity, SerrinExplicit, Solv
                      solve_generic, solve_profile, pole_residue,
                      polynomial)
 from radcomp.errors import DomainError, NoZeroFound, NotAdmissible, StepFailure
-from radcomp.ode import (FailureCode, _eval_piece, _leg_pieces, _pole_start, _quartic,
-                         _regular_start, _run_leg)
+from radcomp.ode import (_GROWTH, FailureCode, _eval_piece, _event_root, _leg_pieces,
+                         _pole_start, _quartic, _regular_start, _run_leg, bracketed_newton)
+
+EPS = np.finfo(float).eps
 
 
 def test_flat_centered_oracle():
@@ -210,6 +212,13 @@ def test_not_admissible_turning_profile():
     with pytest.raises(NotAdmissible) as exc:
         solve_profile(sf, f, CauchyData(0.0, 1.0), SolveOptions(r_max_cap=50.0))
     assert "derivative vanished" in str(exc.value)
+    # the turn is the root of U' on the last piece, where the leg stopped
+    prof = exc.value.profile
+    last = prof._legs[0][-1]
+    turn = brentq(lambda r: _eval_piece(step_piece(last), r)[1], last[0], last[4],
+                  xtol=4 * EPS, rtol=4 * EPS)
+    assert abs(prof.r_hi - turn) <= 4 * EPS * (1.0 + abs(turn))
+    assert abs(prof.du(prof.r_hi)) < 1e-12
 
 
 def test_no_zero_found_at_singular_endpoint():
@@ -343,6 +352,11 @@ def test_dense_output_built_on_first_use_matches_immediate():
     assert later.du(later.r_minus) == later.dU_minus
 
 
+def step_piece(row):
+    """The dense-output piece of one accepted-step row, as event location builds it."""
+    return [*row[:4], *_quartic(*row[5:11]), *_quartic(*row[11:17])]
+
+
 def test_step_quartic_is_bitwise_its_row_of_the_leg_pieces():
     """Event location builds one step's quartic from floats, the dense output
     a whole leg's from arrays; on random step rows they must agree bitwise."""
@@ -352,7 +366,75 @@ def test_step_quartic_is_bitwise_its_row_of_the_leg_pieces():
             steps = (rng.standard_normal((n, 17)) * rng.uniform(0.1, 10.0, (n, 1))).tolist()
             pieces = _leg_pieces(steps)[0].tolist()
             for s, piece in zip(steps, pieces):
-                assert [*s[:4], *_quartic(*s[5:11]), *_quartic(*s[11:17])] == piece
+                assert step_piece(s) == piece
+
+
+# -- event location by the shared bracketed Newton -----------------------------------
+
+@given(k=st.sampled_from([-1.0, 0.0, 1.0]), n=st.sampled_from([2, 2, 2, 3, 4]),
+       family=st.sampled_from(["constant", "serrin_fk"]),
+       R=st.floats(0.3, 2.5), depth=st.floats(1.0, 27.0))
+@example(k=-1.0, n=2, family="serrin_fk", R=0.20583809620210564,
+         depth=12.961337153722036)  # a benchmark input whose inner zero sits at 6.1e-13
+@settings(max_examples=60, deadline=None)
+def test_event_roots_match_brentq_on_the_step_quartic(k, n, family, R, depth):
+    """Every zero that ends a leg is the root of U on the leg's last step
+    quartic, as brentq finds it on the same piece. For n = 2 the pole at
+    r = 0 is logarithmic: with M = R^2 (depth / 2 - 1/4) the flat profile of
+    f = 1 has its inner zero near R exp(-depth), down to about 1e-12."""
+    sf = SpaceForm(n, k)
+    f = constant(1.0) if family == "constant" else serrin_fk(n, k)
+    M = R * R * (depth / 2.0 - 0.25)
+    assume(k >= 0 or family == "constant" or M < 1.0 / n)  # I_f = (0, 1/n)
+    prof = solve_profile(sf, f, CauchyData(R, M), strict=False)
+    checked = 0
+    for steps in prof._legs:
+        last = steps[-1]
+        r = prof.r_plus if last[1] > 0 else prof.r_minus
+        if r is None:
+            continue
+        oracle = brentq(lambda x: _eval_piece(step_piece(last), x)[0], last[0], last[4],
+                        xtol=4 * EPS, rtol=4 * EPS)
+        assert abs(r - oracle) <= 4 * EPS * (1.0 + abs(oracle))
+        checked += 1
+    assume(checked)
+
+
+def test_growth_event_root_on_a_step_quartic():
+    """U rising through the growth cap stops a leg. In a solve U' vanishes
+    first and fires a turn, so the growth root is checked on constructed
+    step rows, ascending and descending."""
+    rng = np.random.default_rng(11)
+    cap = 1e6
+    for _ in range(200):
+        h = rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.3)
+        t = rng.uniform(0.1, 5.0)
+        # U' of the size of U, as on a runaway leg: U - cap then resolves
+        # its root to the last bits of r
+        slope = cap * rng.uniform(0.5, 5.0)
+        u = cap - 0.5 * slope * h * rng.uniform(0.05, 0.95) * np.sign(h)
+        stages = slope * np.sign(h) * (1.0 + 0.05 * rng.standard_normal(6))
+        row = [t, h, u, stages[0], t + h, *stages, *rng.standard_normal(6)]
+        p = step_piece(row)
+        lo, hi = sorted((row[0], row[4]))
+        root = _event_root(p, _GROWTH, row[0], row[4], cap)
+        oracle = brentq(lambda x: _eval_piece(p, x)[0] - cap, lo, hi,
+                        xtol=4 * EPS, rtol=4 * EPS)
+        assert lo <= root <= hi
+        assert abs(root - oracle) <= 4 * EPS * (1.0 + abs(oracle))
+
+
+def test_bracketed_newton_bisects_where_the_derivative_vanishes():
+    """g = r^3 - 1 from r = 0, where g' = 0: a Newton step would divide by
+    zero, so the first step bisects [0, 2] and lands on the root."""
+    seen = []
+
+    def gd(r):
+        seen.append(r)
+        return r ** 3 - 1.0, 3.0 * r * r
+
+    assert bracketed_newton(gd, 0.0, 2.0, 0.0) == 1.0
+    assert seen == [0.0, 1.0]
 
 
 def test_d2u_accepts_arrays():

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -97,14 +96,6 @@ def test_sk_at_zero_and_slope():
         assert sf.sk(0.0) == 0.0
         assert sf.dsk(0.0) == 1.0
         assert sf.sk(1e-9) == pytest.approx(1e-9, rel=1e-12)
-
-
-def test_sk_array_matches_scalar():
-    sf = SpaceForm(3, -1.5)
-    rs = np.linspace(0.0, 3.0, 17)
-    vals = sf.sk_array(rs)
-    for r, v in zip(rs, vals):
-        assert v == pytest.approx(sf.sk(r), rel=1e-15, abs=1e-15)
 
 
 def _radius(sf, where, t):

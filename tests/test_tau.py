@@ -150,6 +150,9 @@ def test_single_point_gap_flat():
     assert est.method == "single-point"
     assert len(est.gap) == 1
     assert est.gap[0] == pytest.approx(2.0, abs=1e-3)  # both curves converge to n
+    data = est.asymptote_data
+    assert data["prediction"] == {"limit": 2, "plus_offset": data["tau_plus_limit"] - 2,
+                                  "minus_offset": data["tau_minus_limit"] - 2}
 
 
 def test_figure_gap_curve_properties():

@@ -20,11 +20,11 @@ from . import output
 from .bounds import (ComparisonPair, hotspot_bounds, isoperimetric_coarea_ratio,
                      isoperimetric_model_ratio, mu_at_boundary, mu_sign_scan,
                      serrin_lower_bound)
-from .closedform import SerrinExplicit, HelmholtzS3, asymptotic_gap
-from .errors import RadcompError
+from .closedform import SerrinExplicit, HelmholtzS3
+from .errors import DomainError, RadcompError
 from .isoparametric import IsoparametricFamily, descent_check, solve_iso_profile
 from .nonlinearity import affine, allen_cahn, constant, serrin_fk
-from .ode import CauchyData, SolveOptions, solve_profile
+from .ode import CauchyData, solve_profile
 from .spaceform import SpaceForm
 from .tau import figure_gap_curve, gap_estimate, normalization_constant, tau_scan
 
@@ -405,7 +405,7 @@ _RUNTIME_LIMITS = {1: 1.0, 2: 30.0, 5: 120.0}
 def run_one(number: int, outdir=None) -> CriterionResult:
     entry = next((e for e in _CRITERIA if e[0] == number), None)
     if entry is None:
-        raise ValueError(f"no criterion {number}")
+        raise DomainError(f"no criterion {number}; the criteria are 1-{len(_CRITERIA)}")
     num, name, fn = entry
     t0 = time.perf_counter()
     try:
@@ -424,13 +424,21 @@ def run_one(number: int, outdir=None) -> CriterionResult:
 
 
 def run_all(outdir=None, only=None) -> list[CriterionResult]:
-    if only:
-        if isinstance(only, str):
+    """Run the criteria numbered in `only` (a list, or a comma-separated
+    string), or all of them; unknown numbers are refused before any runs."""
+    known = [num for num, _, _ in _CRITERIA]
+    if not only:
+        numbers = known
+    elif isinstance(only, str):
+        try:
             numbers = [int(tok) for tok in only.split(",")]
-        else:
-            numbers = list(only)
+        except ValueError:
+            raise DomainError(f"criterion numbers must be integers, got {only!r}") from None
     else:
-        numbers = [num for num, _, _ in _CRITERIA]
+        numbers = list(only)
+    unknown = [num for num in numbers if num not in known]
+    if unknown:
+        raise DomainError(f"no criterion {unknown[0]}; the criteria are 1-{len(known)}")
     if outdir is not None:
         Path(outdir).mkdir(parents=True, exist_ok=True)
     return [run_one(num, outdir=outdir) for num in numbers]

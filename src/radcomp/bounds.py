@@ -129,39 +129,42 @@ class MuScanReport:
     grid_size: int
 
 
-def mu_sign_scan(pair: ComparisonPair, grid=None, npoints: int = 400,
-                 core_exclusion: float = 0.05, edge_exclusion: float = 1e-4,
-                 tol: float = 1e-8) -> MuScanReport:
-    """Minimum of mu over the branch grid.
+_MU_CORE_EXCLUSION = 0.05  # share of the branch width left out next to the core
+_MU_EDGE_EXCLUSION = 1e-4  # the same next to the boundary
+_MU_TOL = 1e-8             # min mu >= -tol counts as nonnegative
 
-    The default grid excludes a larger band near the core than near the
-    boundary: lambda is a 0/0 ratio at the core and its floating-point noise
-    grows like (distance)^-3 there, while it is well conditioned at the
-    boundary where U' is bounded away from zero.
+
+def mu_sign_scan(pair: ComparisonPair, npoints: int = 400) -> MuScanReport:
+    """Minimum of mu over `npoints` equispaced radii of the branch.
+
+    The grid leaves out 5% of the branch width next to the core and 0.01%
+    next to the boundary: lambda is a 0/0 ratio at the core and its
+    floating-point noise grows like (distance)^-3 there, while it is well
+    conditioned at the boundary where U' is bounded away from zero. A minimum
+    of at least -1e-8 counts as nonnegative.
     """
-    if grid is None:
-        lo, hi = pair._lo, pair._hi
-        w = hi - lo
-        if pair.sign == "plus":
-            a, b = lo + core_exclusion * w, hi - edge_exclusion * w
-        else:
-            a, b = lo + edge_exclusion * w, hi - core_exclusion * w
-        grid = np.linspace(a, b, npoints)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise DomainError("empty scan grid")
+    if npoints < 1:
+        raise DomainError(f"empty scan grid (npoints = {npoints})")
+    lo, hi = pair._lo, pair._hi
+    w = hi - lo
+    if pair.sign == "plus":
+        a, b = lo + _MU_CORE_EXCLUSION * w, hi - _MU_EDGE_EXCLUSION * w
+    else:
+        a, b = lo + _MU_EDGE_EXCLUSION * w, hi - _MU_CORE_EXCLUSION * w
+    grid = np.linspace(a, b, npoints)
     vals = np.array([pair.mu_of_r(float(r)) for r in grid])
     i = int(np.argmin(vals))
     return MuScanReport(min_mu=float(vals[i]), argmin=float(grid[i]),
-                        all_nonnegative=bool(vals[i] >= -tol), tol=tol,
+                        all_nonnegative=bool(vals[i] >= -_MU_TOL), tol=_MU_TOL,
                         grid_size=grid.size)
 
 
-def mu_at_boundary(pair: ComparisonPair, rel_offset: float = 1e-3) -> float:
-    """Boundary value of mu by one-sided Richardson extrapolation (3 nodes)."""
+def mu_at_boundary(pair: ComparisonPair) -> float:
+    """Boundary value of mu by one-sided Richardson extrapolation (3 nodes at
+    1, 2 and 4 thousandths of the branch width from the boundary)."""
     rb = pair.r_boundary
     w = pair._hi - pair._lo
-    d = rel_offset * w
+    d = 1e-3 * w
     sgn = -1.0 if pair.sign == "plus" else 1.0
     m1 = pair.mu_of_r(rb + sgn * d)
     m2 = pair.mu_of_r(rb + sgn * 2 * d)

@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure. Errors are
-emitted as one-line JSON objects on stderr so callers can machine-read them.
+emitted as one-line JSON objects on stderr so callers can machine-read them;
+that includes the parser's own errors (an unknown flag, a missing or
+malformed value). Every flag value is converted by its flag's type, on the
+command line and in a --config file alike.
 """
 
 from __future__ import annotations
@@ -35,21 +38,54 @@ def _solve_options(args) -> SolveOptions:
     return SolveOptions(**kw)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports its errors as a DomainError, which `main` prints as one line
+    of JSON with exit code 2, instead of printing the usage."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def _grid(spec: str) -> np.ndarray:
     """lo:hi:count (linear) or lo:hi:count:geom."""
     parts = spec.split(":")
     if len(parts) not in (3, 4):
-        raise DomainError(f"grid spec must be lo:hi:count[:geom], got {spec!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1 or hi < lo:
-        raise DomainError(f"bad grid spec {spec!r}")
+        raise argparse.ArgumentTypeError(f"grid spec must be lo:hi:count[:geom], got {spec!r}")
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grid spec {spec!r}: lo and hi must be numbers "
+                                         "and count an integer") from None
+    if count < 1 or not math.isfinite(lo) or not math.isfinite(hi) or hi < lo:
+        raise argparse.ArgumentTypeError(f"bad grid spec {spec!r}")
     if len(parts) == 4:
         if parts[3] != "geom":
-            raise DomainError(f"unknown grid kind {parts[3]!r}")
+            raise argparse.ArgumentTypeError(f"unknown grid kind {parts[3]!r}")
         if lo <= 0:
-            raise DomainError("geometric grids need lo > 0")
+            raise argparse.ArgumentTypeError("geometric grids need lo > 0")
         return np.geomspace(lo, hi, count)
     return np.linspace(lo, hi, count)
+
+
+def _count(text: str) -> int:
+    """A number of points: an integer >= 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"number of points must be an integer, "
+                                         f"got {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"need at least one point, got {count}")
+    return count
+
+
+def _dims(text: str) -> list:
+    """Comma-separated dimensions."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"dimensions must be comma-separated integers, "
+                                         f"got {text!r}") from None
 
 
 def _emit(lines_or_obj, path, as_json=False):
@@ -66,7 +102,21 @@ def _emit(lines_or_obj, path, as_json=False):
             output.write_text(path, lines_or_obj)
 
 
-def _apply_config(args, parser):
+def _config_value(flag, val):
+    """A config value converted by its flag's type, as if it had been typed
+    on the command line; a JSON object stays allowed for the nonlinearity."""
+    if flag.dest == "f" and isinstance(val, dict):
+        return val
+    if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+        raise DomainError(f"config key {flag.dest!r}: expected a string or a number, "
+                          f"got {val!r}")
+    try:
+        return (flag.type or str)(str(val))
+    except (argparse.ArgumentTypeError, TypeError, ValueError) as e:
+        raise DomainError(f"config key {flag.dest!r}: invalid value {val!r} ({e})") from None
+
+
+def _apply_config(args):
     """--config file.json overrides parsed flags; unknown keys are rejected."""
     if not getattr(args, "config", None):
         return args
@@ -76,11 +126,11 @@ def _apply_config(args, parser):
         raise DomainError(f"cannot read config {args.config}: {e}") from None
     if not isinstance(cfg, dict):
         raise DomainError("config must be a JSON object")
-    known = set(vars(args))
+    flags = {action.dest: action for action in args.parser._actions}
     for key, val in cfg.items():
-        if key not in known:
+        if key not in flags or key in ("help", "config"):
             raise DomainError(f"unknown config key {key!r}")
-        setattr(args, key, val)
+        setattr(args, key, _config_value(flags[key], val))
     return args
 
 
@@ -105,7 +155,7 @@ def cmd_profile(args):
 def cmd_tau_scan(args):
     sf = SpaceForm(args.n, args.k)
     f = _nl(args, sf)
-    table = tau_scan(sf, f, args.M, _grid(args.r_grid), _solve_options(args))
+    table = tau_scan(sf, f, args.M, args.r_grid, _solve_options(args))
     _emit(output.tau_csv_lines(table), args.csv)
     if args.json:
         est = gap_estimate(table)
@@ -116,8 +166,8 @@ def cmd_tau_scan(args):
 def cmd_gap(args):
     sf = SpaceForm(args.n, args.k)
     f = _nl(args, sf)
-    if args.r_grid:
-        grid = _grid(args.r_grid)
+    if args.r_grid is not None:
+        grid = args.r_grid
     elif sf.k > 0:
         grid = np.linspace(0.0, sf.r_bar * (1 - 1e-3), 41)
     else:
@@ -167,11 +217,10 @@ def cmd_iso(args):
 
 
 def cmd_fig_gap(args):
-    dims = [int(tok) for tok in str(args.n).split(",")]
-    grid = _grid(args.r_grid) if args.r_grid else np.linspace(0.5, 12.0, 24)
+    grid = args.r_grid if args.r_grid is not None else np.linspace(0.5, 12.0, 24)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for n in dims:
+    for n in args.n:
         curve = figure_gap_curve(SpaceForm(n, -1.0), acceptance.FIG_GAP_M_TILDE, grid,
                                  _solve_options(args))
         output.write_text(outdir / f"gap_curve_n{n}.csv",
@@ -220,60 +269,61 @@ def cmd_selftest(args):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="radcomp",
-                                description="Radial comparison-model toolkit")
+    p = _Parser(prog="radcomp", description="Radial comparison-model toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, cauchy=True):
+    def command(name, func, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func, parser=sp)
+        return sp
+
+    def solver(sp):
+        sp.add_argument("--rtol", type=float, default=None)
+        sp.add_argument("--atol", type=float, default=None)
+        sp.add_argument("--config", default=None, help="JSON file overriding flags")
+
+    def common(sp, core_radius=True):
         sp.add_argument("--n", type=int, required=True, help="dimension (>= 2)")
         sp.add_argument("--k", type=float, required=True, help="curvature bound")
         sp.add_argument("--f", required=True,
                         help="nonlinearity spec, e.g. constant:1 or affine:-0.25,2.5")
-        if cauchy:
+        if core_radius:
             sp.add_argument("--R", type=float, required=True, help="core radius")
-            sp.add_argument("--M", type=float, required=True, help="maximum value")
-        sp.add_argument("--rtol", type=float, default=None)
-        sp.add_argument("--atol", type=float, default=None)
+        sp.add_argument("--M", type=float, required=True, help="maximum value")
+        solver(sp)
         sp.add_argument("--cap", type=float, default=None, help="outward radius cap")
-        sp.add_argument("--config", default=None, help="JSON file overriding flags")
 
-    sp = sub.add_parser("profile", help="solve one radial profile, export CSV")
+    sp = command("profile", cmd_profile, "solve one radial profile, export CSV")
     common(sp)
-    sp.add_argument("--points", type=int, default=401)
+    sp.add_argument("--points", type=_count, default=401)
     sp.add_argument("--csv", default="-")
     sp.add_argument("--json", default=None)
-    sp.set_defaults(func=cmd_profile)
 
-    sp = sub.add_parser("tau-scan", help="scan the boundary-response curves over R")
-    common(sp, cauchy=False)
-    sp.add_argument("--M", type=float, required=True)
-    sp.add_argument("--r-grid", required=True, help="lo:hi:count[:geom]")
+    sp = command("tau-scan", cmd_tau_scan, "scan the boundary-response curves over R")
+    common(sp, core_radius=False)
+    sp.add_argument("--r-grid", type=_grid, required=True, help="lo:hi:count[:geom]")
     sp.add_argument("--csv", default="-")
     sp.add_argument("--json", default=None)
-    sp.set_defaults(func=cmd_tau_scan)
 
-    sp = sub.add_parser("gap", help="estimate the admissible set and gap")
-    common(sp, cauchy=False)
-    sp.add_argument("--M", type=float, required=True)
-    sp.add_argument("--r-grid", default=None)
+    sp = command("gap", cmd_gap, "estimate the admissible set and gap")
+    common(sp, core_radius=False)
+    sp.add_argument("--r-grid", type=_grid, default=None)
     sp.add_argument("--csv", default=None)
     sp.add_argument("--json", default="-")
-    sp.set_defaults(func=cmd_gap)
 
-    sp = sub.add_parser("mu-check", help="scan the maximum-principle coefficient")
+    sp = command("mu-check", cmd_mu_check, "scan the maximum-principle coefficient")
     common(sp)
-    sp.add_argument("--grid", type=int, default=400)
+    sp.add_argument("--grid", type=_count, default=400)
     sp.add_argument("--json", default="-")
-    sp.set_defaults(func=cmd_mu_check)
 
-    sp = sub.add_parser("bounds", help="curvature / isoperimetric / hot-spot report")
+    sp = command("bounds", cmd_bounds, "curvature / isoperimetric / hot-spot report")
     common(sp)
     sp.add_argument("--sign", choices=("plus", "minus"), default="plus")
     sp.add_argument("--r-omega", type=float, default=None)
     sp.add_argument("--json", default="-")
-    sp.set_defaults(func=cmd_bounds)
 
-    sp = sub.add_parser("iso", help="solve a profile along an isoparametric foliation")
+    # the leaf interval (0, pi/ell) is finite, so iso has no outward cap
+    sp = command("iso", cmd_iso, "solve a profile along an isoparametric foliation")
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--m1", type=int, required=True)
     sp.add_argument("--m2", type=int, required=True)
@@ -281,44 +331,32 @@ def build_parser():
     sp.add_argument("--f", required=True)
     sp.add_argument("--S", type=float, required=True)
     sp.add_argument("--M", type=float, required=True)
-    sp.add_argument("--rtol", type=float, default=None)
-    sp.add_argument("--atol", type=float, default=None)
-    sp.add_argument("--cap", type=float, default=None)
-    sp.add_argument("--points", type=int, default=401)
+    solver(sp)
+    sp.add_argument("--points", type=_count, default=401)
     sp.add_argument("--csv", default="-")
     sp.add_argument("--json", default=None)
-    sp.add_argument("--config", default=None)
-    sp.set_defaults(func=cmd_iso)
 
-    sp = sub.add_parser("fig-gap", help="boundary-derivative-sum curves (k = -1)")
-    sp.add_argument("--n", default="2,3,4", help="comma-separated dimensions")
-    sp.add_argument("--r-grid", default=None)
+    sp = command("fig-gap", cmd_fig_gap, "boundary-derivative-sum curves (k = -1)")
+    sp.add_argument("--n", type=_dims, default="2,3,4", help="comma-separated dimensions")
+    sp.add_argument("--r-grid", type=_grid, default=None)
     sp.add_argument("--outdir", default="fig_gap")
-    sp.add_argument("--rtol", type=float, default=None)
-    sp.add_argument("--atol", type=float, default=None)
-    sp.add_argument("--config", default=None)
-    sp.set_defaults(func=cmd_fig_gap)
+    solver(sp)
 
-    sp = sub.add_parser("fig-mu", help="mu sign scans for the affine panels")
+    sp = command("fig-mu", cmd_fig_mu, "mu sign scans for the affine panels")
     sp.add_argument("--outdir", default="fig_mu")
-    sp.add_argument("--rtol", type=float, default=None)
-    sp.add_argument("--atol", type=float, default=None)
-    sp.add_argument("--config", default=None)
-    sp.set_defaults(func=cmd_fig_mu)
+    solver(sp)
 
-    sp = sub.add_parser("selftest", help="run the acceptance suite")
+    sp = command("selftest", cmd_selftest, "run the acceptance suite")
     sp.add_argument("--outdir", default=None, help="directory for CSV artifacts")
     sp.add_argument("--only", default=None,
                     help="comma-separated criterion numbers to run")
-    sp.set_defaults(func=cmd_selftest)
     return p
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config(args, parser)
+        args = _apply_config(parser.parse_args(argv))
         return args.func(args)
     except DomainError as e:
         print(json.dumps({"error": "validation", "message": str(e)}), file=sys.stderr)

@@ -15,8 +15,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import DomainError
 from .nonlinearity import Nonlinearity
 from .ode import CauchyData, ModelProfile, SolveOptions, solve_generic
@@ -108,8 +106,7 @@ def solve_iso_profile(family: IsoparametricFamily, f: Nonlinearity, S: float,
     if not (0.0 <= S <= smax):
         raise DomainError(f"focal parameter S = {S} outside [0, pi/ell = {smax}]")
     cd = CauchyData(S, M)
-    prof = solve_generic(family.coefficient, f, cd, (0.0, smax), opts,
-                         singular_lo=True, singular_hi=True, strict=strict)
+    prof = solve_generic(family.coefficient, f, cd, (0.0, smax), opts, strict=strict)
     if S == 0.0:
         domain = "focal-cap-plus"
     elif abs(S - smax) <= 1e-12 * smax:

@@ -10,6 +10,7 @@ coarse grid persists on any refinement containing the witness.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -34,35 +35,31 @@ class Nonlinearity:
     def __call__(self, x):
         return self.func(x)
 
-    def d(self, x, fd_fallback: bool = True):
+    def d(self, x):
         """Derivative at x; central finite difference when none was supplied."""
         if self.deriv is not None:
             return self.deriv(x)
-        if not fd_fallback:
-            raise DomainError(f"nonlinearity {self.name!r} has no derivative")
         h = 1e-6 * max(1.0, abs(x))
         return (self.func(x + h) - self.func(x - h)) / (2.0 * h)
 
     def describe(self):
         return {"family": self.name, "params": dict(self.params), "sup_if": self.sup_if}
 
-    def validate(self, grid: np.ndarray | None = None, lipschitz_cap: float = 1e12,
-                 deriv_rel_tol: float = 1e-6) -> None:
-        """Type invariants: bounded difference quotients on the sample grid,
-        and agreement of the supplied derivative with central differences."""
-        if grid is None:
-            grid = condition_grid(self, npoints=257)
-        grid = np.asarray(grid, dtype=float)
+    def validate(self) -> None:
+        """Type invariants on the 257-point condition grid: difference
+        quotients bounded by 1e12, and agreement of the supplied derivative
+        with central differences to 1e-6 max(1, |f'|)."""
+        grid = condition_grid(self, npoints=257)
         vals = np.array([self.func(x) for x in grid])
         dq = np.abs(np.diff(vals) / np.diff(grid))
-        if np.any(~np.isfinite(dq)) or np.any(dq > lipschitz_cap):
+        if np.any(~np.isfinite(dq)) or np.any(dq > 1e12):
             raise DomainError(f"{self.name}: difference quotients unbounded on the grid")
         if self.deriv is not None:
             for x in grid[1:-1:16]:
                 h = 1e-6 * max(1.0, abs(x))
                 fd = (self.func(x + h) - self.func(x - h)) / (2.0 * h)
                 dv = self.deriv(x)
-                if abs(fd - dv) > deriv_rel_tol * max(1.0, abs(dv)):
+                if abs(fd - dv) > 1e-6 * max(1.0, abs(dv)):
                     raise DomainError(
                         f"{self.name}: derivative mismatch at x={x}: {dv} vs FD {fd}")
 
@@ -170,19 +167,31 @@ def from_descriptor(desc: dict) -> Nonlinearity:
         extra = set(params) - set(argnames)
         if extra:
             raise DomainError(f"unknown parameters for {family!r}: {sorted(extra)}")
-        try:
-            f = ctor(**params)
-        except TypeError as e:
-            raise DomainError(f"bad parameters for {family!r}: {e}") from None
+        args, kwargs = (), params
     elif isinstance(params, (list, tuple)):
-        f = ctor(*params)
+        args, kwargs = params, {}
     else:
         raise DomainError("params must be an object or an array")
+    if family != "polynomial" and not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            for v in (*args, *kwargs.values())):
+        raise DomainError(f"parameters for {family!r} must be numbers, got {params!r}")
+    try:
+        f = ctor(*args, **kwargs)
+    except (TypeError, ValueError) as e:
+        raise DomainError(f"bad parameters for {family!r}: {e}") from None
     if "I_f" in desc:
-        lo, hi = desc["I_f"]
+        bounds = desc["I_f"]
+        if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
+            raise DomainError(f"I_f must be a pair [0, hi], got {bounds!r}")
+        lo, hi = bounds
         if lo != 0:
             raise DomainError("I_f must have 0 as its lower endpoint")
-        f = Nonlinearity(f.name, f.func, f.deriv, f.params, float(hi))
+        try:
+            hi = float(hi)
+        except (TypeError, ValueError):
+            raise DomainError(f"I_f upper endpoint must be a number, got {hi!r}") from None
+        f = Nonlinearity(f.name, f.func, f.deriv, f.params, hi)
     return f
 
 
@@ -196,7 +205,10 @@ def from_cli_spec(spec: str, sf: SpaceForm | None = None) -> Nonlinearity:
         return serrin_fk(sf.n, sf.k)
     args = []
     if len(parts) == 2 and parts[1]:
-        args = [float(tok) for tok in parts[1].split(",")]
+        try:
+            args = [float(tok) for tok in parts[1].split(",")]
+        except ValueError:
+            raise DomainError(f"nonlinearity parameters must be numbers, got {spec!r}") from None
     if family == "polynomial":
         return polynomial(args)
     if family not in _FAMILIES:
@@ -220,13 +232,11 @@ class ConditionResult:
         return self.ok
 
 
-def condition_grid(f: Nonlinearity, npoints: int = DEFAULT_GRID_POINTS,
-                   m_max: float | None = None) -> np.ndarray:
-    """Chebyshev-spaced samples of the open interior of I_f up to m_max."""
-    if m_max is None:
-        m_max = min(f.sup_if, DEFAULT_M_MAX)
-    hi = min(f.sup_if, m_max)
-    if not (hi > 0) or not math.isfinite(hi):
+def condition_grid(f: Nonlinearity, npoints: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+    """Chebyshev-spaced samples of the open interior of I_f, cut at
+    DEFAULT_M_MAX (and spanning (0, DEFAULT_M_MAX) when I_f is empty)."""
+    hi = min(f.sup_if, DEFAULT_M_MAX)
+    if not hi > 0:
         hi = DEFAULT_M_MAX
     if npoints < 1:
         raise DomainError("grid needs at least one point")
@@ -243,8 +253,7 @@ def _first_violation(grid, values, tol):
 
 
 def check_standard_conditions(f: Nonlinearity, sf: SpaceForm,
-                              grid: np.ndarray | None = None,
-                              tol: float = _COND_TOL) -> ConditionResult:
+                              grid: np.ndarray | None = None) -> ConditionResult:
     """f > 0 and f(x) >= n k x + f(0) on the grid; f(0) > 0 when k <= 0."""
     if grid is None:
         grid = condition_grid(f)
@@ -255,47 +264,43 @@ def check_standard_conditions(f: Nonlinearity, sf: SpaceForm,
     if sf.k <= 0 and not f0 > 0:
         return ConditionResult(False, 0.0, f"f(0) = {f0} is not positive (k <= 0)")
     vals = np.array([f(x) for x in grid])
-    w = _first_violation(grid, vals, -tol)  # need strict positivity
-    if w is not None or np.any(vals <= tol):
-        bad = grid[np.nonzero(vals <= tol)[0][0]]
+    w = _first_violation(grid, vals, -_COND_TOL)  # need strict positivity
+    if w is not None or np.any(vals <= _COND_TOL):
+        bad = grid[np.nonzero(vals <= _COND_TOL)[0][0]]
         return ConditionResult(False, float(bad), f"f({bad}) = {f(float(bad))} is not positive")
     slack = vals - (sf.n * sf.k * grid + f0)
-    w = _first_violation(grid, slack, tol)
+    w = _first_violation(grid, slack, _COND_TOL)
     if w is not None:
         return ConditionResult(False, w, f"f({w}) < n k x + f(0) by {-(slack.min())}")
     return ConditionResult(True, None, "standard conditions hold on the grid")
 
 
 def check_derivative_bound(f: Nonlinearity, sf: SpaceForm,
-                           grid: np.ndarray | None = None,
-                           tol: float = _COND_TOL,
-                           fd_fallback: bool = True) -> ConditionResult:
+                           grid: np.ndarray | None = None) -> ConditionResult:
     """f'(x) >= n k on the grid."""
     if grid is None:
         grid = condition_grid(f)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DomainError("empty condition grid")
-    dv = np.array([f.d(x, fd_fallback=fd_fallback) for x in grid])
+    dv = np.array([f.d(x) for x in grid])
     slack = dv - sf.n * sf.k
-    w = _first_violation(grid, slack, tol)
+    w = _first_violation(grid, slack, _COND_TOL)
     if w is not None:
         return ConditionResult(False, w, f"f'({w}) = {f.d(w)} < n k = {sf.n * sf.k}")
     return ConditionResult(True, None, "f' >= n k on the grid")
 
 
 def check_tau_monotonicity_condition(f: Nonlinearity,
-                                     grid: np.ndarray | None = None,
-                                     tol: float = _COND_TOL,
-                                     fd_fallback: bool = True) -> ConditionResult:
+                                     grid: np.ndarray | None = None) -> ConditionResult:
     """f(x) >= x f'(x) on the grid."""
     if grid is None:
         grid = condition_grid(f)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DomainError("empty condition grid")
-    slack = np.array([f(x) - x * f.d(x, fd_fallback=fd_fallback) for x in grid])
-    w = _first_violation(grid, slack, tol)
+    slack = np.array([f(x) - x * f.d(x) for x in grid])
+    w = _first_violation(grid, slack, _COND_TOL)
     if w is not None:
         return ConditionResult(False, w, f"f(x) < x f'(x) at x = {w}")
     return ConditionResult(True, None, "f >= x f' on the grid")

@@ -36,6 +36,7 @@ _ZERO_FLOOR = 1e-13  # inward integration floor above a pole at the left endpoin
 _ZERO_TOL = 1e-11    # |U| acceptance at refined zeros, relative to M
 _GROWTH_CAP = 1e6    # |U| > cap * max(1, M) aborts a runaway leg
 _RANGE_TOL = 1e-12   # evaluation slack past the ends of the computed range
+_EPS_START = 1e-6    # startup offset from the core (scaled down on short intervals)
 _EPS = float(np.finfo(float).eps)
 
 # leg events, in the order that breaks ties between simultaneous roots
@@ -43,10 +44,12 @@ _ZERO, _TURN, _GROWTH = 0, 1, 2
 
 
 class FailureCode(enum.Enum):
-    """Kind of a failed solve; a strict solve raises NoZeroFound for NO_ZERO
-    and NotAdmissible otherwise."""
+    """Kind of a failed solve; a strict solve raises NoZeroFound for NO_ZERO,
+    StepFailure for STEP_FAILURE (from the leg, at once) and NotAdmissible
+    otherwise."""
     NO_ZERO = "no_zero"                # a leg ended without a sign change of U
     NOT_ADMISSIBLE = "not_admissible"  # f(M) <= 0, a turn, runaway growth, a stalled zero
+    STEP_FAILURE = "step_failure"      # a leg's step size fell below the spacing of floats
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,6 @@ class SolveOptions:
     rtol: float = 1e-10
     atol: float = 1e-12
     r_max_cap: float = 200.0      # outward span past R on unbounded intervals
-    eps_start: Optional[float] = None  # startup offset; default 1e-6 (scaled down near poles)
 
 
 @dataclass
@@ -490,26 +492,31 @@ def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: floa
 
 def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
                   interval: tuple, opts: SolveOptions = SolveOptions(),
-                  singular_lo: bool = False, singular_hi: bool = False,
                   sf: Optional[SpaceForm] = None, strict: bool = True) -> ModelProfile:
     """Shoot from the Cauchy data in both directions inside `interval`.
 
-    `singular_lo` / `singular_hi` declare simple poles of b at the interval
-    endpoints. With `strict`, failures raise (the exception carries the
-    partial profile); otherwise the profile is returned with `.failure` set.
+    b may have a simple pole at either end of the interval: the lower end is
+    always treated as one (a leg stops at the floor `_ZERO_FLOOR` above it,
+    and a core there starts from the pole), and so is the upper end exactly
+    when it is finite; an infinite upper end caps the outward leg at
+    `opts.r_max_cap` past R. With `strict`, failures raise (the exception
+    carries the partial profile; a leg's StepFailure is raised as it
+    happens); otherwise the profile is returned with `.failure` and
+    `.failure_code` set, also when a leg failed for its step size.
     """
     lo, hi = float(interval[0]), float(interval[1])
     R, M = cd.R, cd.M
-    if not (lo <= R < hi) and not (singular_hi and abs(R - hi) <= 1e-12 * max(1.0, abs(hi))):
+    hi_pole = math.isfinite(hi)
+    at_hi_pole = hi_pole and abs(R - hi) <= 1e-12 * max(1.0, abs(hi))
+    if not (lo <= R < hi) and not at_hi_pole:
         raise DomainError(f"core radius {R} outside the interval [{lo}, {hi})")
 
     prof = ModelProfile(b, f, cd, sf=sf)
-    width = (hi - lo) if math.isfinite(hi) else 1.0
-    eps_base = opts.eps_start if opts.eps_start is not None else 1e-6 * min(1.0, width)
+    width = (hi - lo) if hi_pole else 1.0
+    eps_base = _EPS_START * min(1.0, width)
 
-    at_lo_pole = singular_lo and abs(R - lo) <= _ZERO_FLOOR
-    at_hi_pole = singular_hi and math.isfinite(hi) and abs(R - hi) <= 1e-12 * max(1.0, abs(hi))
-    if singular_lo and not at_lo_pole and R - lo < 100 * _ZERO_FLOOR:
+    at_lo_pole = abs(R - lo) <= _ZERO_FLOOR
+    if not at_lo_pole and R - lo < 100 * _ZERO_FLOOR:
         raise DomainError(f"core radius {R} too close to the pole at {lo} to resolve")
 
     fM = f(M)
@@ -523,7 +530,7 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
         legs.append((-1, st))
         taylor, r_lo, r_hi = _taylor_piece(hi, M, fM, 1.0 + st.b1), st.r0, hi
     else:
-        gap = min(R - lo, hi - R) if math.isfinite(hi) else R - lo
+        gap = min(R - lo, hi - R) if hi_pole else R - lo
         eps = min(eps_base, gap / 100.0) if gap > 0 else eps_base
         legs.append((+1, _regular_start(f, R, M, +1, eps)))
         legs.append((-1, _regular_start(f, R, M, -1, eps)))
@@ -534,15 +541,21 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
         prof.failure = f"core is not a strict local maximum: f(M) = {fM} <= 0"
         prof.failure_code = FailureCode.NOT_ADMISSIBLE
 
-    pole_eps_hi = max(1e-9, 1e-12 * abs(hi)) if math.isfinite(hi) else 0.0
+    pole_eps_hi = max(1e-9, 1e-12 * abs(hi)) if hi_pole else 0.0
     diagnostics = []  # (FailureCode, text)
 
     for side, st in legs:
         if side > 0:
-            target = (hi - pole_eps_hi) if singular_hi else min(hi, R + opts.r_max_cap)
+            target = (hi - pole_eps_hi) if hi_pole else R + opts.r_max_cap
         else:
-            target = lo + _ZERO_FLOOR if singular_lo else lo
-        leg = _run_leg(b, f, st, target, opts, M)
+            target = lo + _ZERO_FLOOR
+        try:
+            leg = _run_leg(b, f, st, target, opts, M)
+        except StepFailure as e:
+            if strict:
+                raise
+            diagnostics.append((FailureCode.STEP_FAILURE, str(e)))
+            continue
         prof._legs.append(leg.steps)
         r_lo, r_hi = min(r_lo, st.r0, leg.end), max(r_hi, st.r0, leg.end)
 
@@ -569,7 +582,7 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
         elif leg.event == _GROWTH:
             diagnostics.append((FailureCode.NOT_ADMISSIBLE,
                                 f"profile grew past {_GROWTH_CAP} * max(1, M); aborted leg"))
-        elif singular_hi and side > 0:
+        elif hi_pole and side > 0:
             diagnostics.append((FailureCode.NO_ZERO, f"reached the singular endpoint r={hi} "
                                 "with U > 0; no zero on the plus side"))
         elif side > 0:
@@ -587,9 +600,10 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
     else:
         have_zeros = prof.r_plus is not None and prof.r_minus is not None
     if prof.failure is None and diagnostics:
-        codes = [code for code, _ in diagnostics]
+        codes = {code for code, _ in diagnostics}
         prof.failure = "; ".join(text for _, text in diagnostics)
-        prof.failure_code = (FailureCode.NO_ZERO if FailureCode.NO_ZERO in codes
+        prof.failure_code = (FailureCode.STEP_FAILURE if FailureCode.STEP_FAILURE in codes
+                             else FailureCode.NO_ZERO if FailureCode.NO_ZERO in codes
                              else FailureCode.NOT_ADMISSIBLE)
     if prof.failure is None and have_zeros:
         prof.admissible = True
@@ -609,4 +623,4 @@ def solve_profile(sf: SpaceForm, f: Nonlinearity, cd: CauchyData,
     if cd.M > 0 and sf.k > 0 and not (0 <= cd.R < sf.r_bar):
         raise DomainError(f"core radius {cd.R} outside [0, r_bar = {sf.r_bar})")
     return solve_generic(sf.radial_coefficient, f, cd, (0.0, sf.r_bar), opts,
-                         singular_lo=True, singular_hi=sf.k > 0, sf=sf, strict=strict)
+                         sf=sf, strict=strict)

@@ -14,8 +14,11 @@ import numpy as np
 from . import closedform
 from .errors import DomainError, InsufficientRange, NumericalError
 from .nonlinearity import Nonlinearity, serrin_fk
-from .ode import CauchyData, ModelProfile, SolveOptions, solve_profile
+from .ode import CauchyData, SolveOptions, solve_profile
 from .spaceform import SpaceForm
+
+_GAP_WIDTH_TOL = 1e-8  # tail limits closer than this report a one-point gap
+_FLAT_FIT_TOL = 1e-4   # the same for the 1/R fits of the flat torsion tails
 
 
 @dataclass
@@ -79,11 +82,7 @@ def normalization_constant(sf: SpaceForm, f: Nonlinearity, M: float,
 
 def _scan_row(sf, f, M, R, c, opts) -> TauRow:
     row = TauRow(R=float(R))
-    try:
-        prof = solve_profile(sf, f, CauchyData(float(R), M), opts, strict=False)
-    except NumericalError as e:
-        row.diagnostic = str(e)
-        return row
+    prof = solve_profile(sf, f, CauchyData(float(R), M), opts, strict=False)
     if prof.r_plus is not None:
         row.r_plus, row.dU_plus = prof.r_plus, prof.dU_plus
         row.tau_plus = prof.dU_plus ** 2 / c
@@ -118,13 +117,14 @@ def tau_scan(sf: SpaceForm, f: Nonlinearity, M: float, R_grid,
 
 # -- gap estimation ----------------------------------------------------------------
 
-def _tail_average(R, vals, frac=0.10, cauchy_factor=4.0):
-    """Average of the trailing fraction after checking the tail has settled:
-    consecutive increments must shrink (Cauchy-style) before averaging."""
-    m = max(3, int(math.ceil(frac * len(vals))))
+def _tail_average(vals):
+    """Average of the trailing tenth (at least 3 values) after checking the
+    tail has settled: the last increment must not exceed 4 times the median
+    of the last four (Cauchy-style) before averaging."""
+    m = max(3, int(math.ceil(0.10 * len(vals))))
     tail = vals[-m:]
     inc = np.abs(np.diff(vals))
-    if len(inc) >= 4 and not (inc[-1] <= cauchy_factor * np.median(inc[-4:]) + 1e-15):
+    if len(inc) >= 4 and not (inc[-1] <= 4.0 * np.median(inc[-4:]) + 1e-15):
         raise InsufficientRange("tau tail has not settled; extend the R grid")
     if len(inc) and inc[-1] > 1e-3 * max(1.0, abs(tail[-1])):
         raise InsufficientRange(
@@ -132,27 +132,28 @@ def _tail_average(R, vals, frac=0.10, cauchy_factor=4.0):
     return float(np.mean(tail))
 
 
-def _inverse_r_extrapolation(R, vals, deg=3, npts=10):
-    """Polynomial fit in 1/R over the trailing rows; returns the constant term."""
-    m = min(len(vals), max(npts, deg + 2))
+def _inverse_r_extrapolation(R, vals):
+    """Cubic fit in 1/R over the last 10 rows; returns the constant term."""
+    m = min(len(vals), 10)
     x = 1.0 / np.asarray(R[-m:], dtype=float)
-    co = np.polyfit(x, np.asarray(vals[-m:], dtype=float), deg)
+    co = np.polyfit(x, np.asarray(vals[-m:], dtype=float), 3)
     return float(co[-1])
 
 
-def gap_estimate(table: TauTable, width_tol: float = 1e-8,
-                 attach_prediction: bool = True) -> GapEstimate:
+def gap_estimate(table: TauTable) -> GapEstimate:
     """Admissible set and gap from a sampled tau table.
 
     k > 0: the two curves meet (reflection symmetry), gap is empty.
     k = 0 with the torsion-type nonlinearity: both tails converge to the same
     value n algebraically (~1/R); each curve is extrapolated by a cubic in 1/R
-    and the gap collapses to a point, with the limit n and each fit's offset
-    from it attached as the prediction. Fits whose plus limit exceeds the
-    minus limit by more than the tolerance raise InsufficientRange.
+    and the gap collapses to a point when the two limits agree to 1e-4, with
+    the limit n and each fit's offset from it always attached as
+    `asymptote_data["prediction"]`. Fits whose plus limit exceeds the minus
+    limit by more than 1e-4 raise InsufficientRange.
     k < 0: the tails converge exponentially; the gap is the interval between
-    the tail averages, with the limit-profile prediction attached for the
-    torsion-type nonlinearity at k = -1.
+    the tail averages, a point when they agree to 1e-8; for the torsion-type
+    nonlinearity at k = -1 the limit-profile prediction is always attached
+    as `asymptote_data["vinfty"]`.
     """
     rows = table.ok_rows
     if not rows:
@@ -192,18 +193,16 @@ def gap_estimate(table: TauTable, width_tol: float = 1e-8,
         width = lm - lp
         data = {"R_max": float(Rm[-1]), "tau_plus_limit": lp, "tau_minus_limit": lm,
                 "width": width}
-        tol = max(width_tol, 1e-4)
         n = table.sf.n  # the closed-form limit of both tails
-        if width < -tol:
+        if width < -_FLAT_FIT_TOL:
             raise InsufficientRange(
                 f"tau tail fits disagree: plus limit {lp} exceeds minus limit {lm}; "
                 f"extend the R grid (both tails tend to the closed-form limit n = {n}; "
                 f"the fits are off by {lp - n} and {lm - n})")
-        if attach_prediction:
-            data["prediction"] = {"limit": n, "plus_offset": lp - n, "minus_offset": lm - n}
+        data["prediction"] = {"limit": n, "plus_offset": lp - n, "minus_offset": lm - n}
         adm = _merge([adm_plus[0], max(adm_plus[1], lp)],
                      [min(adm_minus[0], lm), adm_minus[1]])
-        if abs(width) <= tol:
+        if abs(width) <= _FLAT_FIT_TOL:
             point = 0.5 * (lp + lm)
             return GapEstimate(adm=adm, gap=[point],
                                method="single-point", asymptote_data=data)
@@ -212,10 +211,10 @@ def gap_estimate(table: TauTable, width_tol: float = 1e-8,
 
     # k < 0 (and k = 0 without the closed-form tail): exponential/settled tails
     Rm = Rv[has_minus]
-    lp = max(_tail_average(Rm, tp[has_minus]), adm_plus[1])
-    lm = min(_tail_average(Rm, tm[has_minus]), adm_minus[0])
+    lp = max(_tail_average(tp[has_minus]), adm_plus[1])
+    lm = min(_tail_average(tm[has_minus]), adm_minus[0])
     data = {"R_max": float(Rm[-1]), "tau_plus_limit": lp, "tau_minus_limit": lm}
-    if attach_prediction and k == -1 and serrin_like:
+    if k == -1 and serrin_like:
         m_tilde = closedform.asymptote_parameter_from_cauchy_max(table.sf.n, table.M)
         ap = closedform.asymptotic_gap(table.sf.n, m_tilde)
         data["vinfty"] = {
@@ -224,7 +223,7 @@ def gap_estimate(table: TauTable, width_tol: float = 1e-8,
             "predicted_gap_length": ap.predicted_gap_length(table.c_norm),
             "predicted_s_tail": ap.predicted_s_tail(),
         }
-    if lm - lp <= width_tol:
+    if lm - lp <= _GAP_WIDTH_TOL:
         gap = [0.5 * (lp + lm)]
     else:
         gap = [lp, lm]

@@ -95,7 +95,7 @@ def test_chi_inverse_near_critical_level():
 def test_mu_scan_empty_grid_rejected():
     pair = ComparisonPair(annulus_profile(), "plus")
     with pytest.raises(DomainError):
-        mu_sign_scan(pair, grid=np.array([]))
+        mu_sign_scan(pair, npoints=0)
 
 
 def test_model_gradient_two_paths():

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -190,6 +191,50 @@ def test_config_override(tmp_path, capsys):
     assert "unknown_key" in err
 
 
+PROFILE = ["profile", "--n", "2", "--k", "0", "--f", "constant:1", "--R", "0", "--M", "0.5"]
+ISO = ["iso", "--ell", "2", "--m1", "1", "--m2", "1", "--n", "3", "--f", "constant:1",
+       "--S", "0.7854", "--M", "0.1"]
+MALFORMED = {  # id: (arguments, contents of a --config file or None)
+    "f-params-not-numbers": (PROFILE[:6] + ["constant:abc"] + PROFILE[7:], None),
+    "profile-points-negative": (PROFILE + ["--points", "-1"], None),
+    "iso-points-negative": (ISO + ["--points", "-1"], None),
+    "mu-check-grid-negative": (["mu-check"] + PROFILE[1:] + ["--grid", "-1"], None),
+    "r-grid-count-not-integer": (["tau-scan", "--n", "3", "--k", "1", "--f", "serrin",
+                                  "--M", "1.0", "--r-grid", "0:1:abc"], None),
+    "fig-gap-dims-not-integers": (["fig-gap", "--n", "2,x"], None),
+    "selftest-unknown-criterion": (["selftest", "--only", "99"], None),
+    "selftest-criterion-not-integer": (["selftest", "--only", "a"], None),
+    "config-params-arity": (PROFILE, {"f": {"family": "affine", "params": [1.0]}}),
+    "config-I_f-arity": (PROFILE, {"f": {"family": "constant", "params": [1.0], "I_f": [0]}}),
+    "config-params-not-numbers": (PROFILE, {"f": {"family": "lane_emden", "params": {"p": "x"}}}),
+    "config-n-not-integer": (PROFILE, {"n": "three"}),
+    "config-M-not-number": (PROFILE, {"M": "big"}),
+    "n-not-integer": (PROFILE[:2] + ["abc"] + PROFILE[3:], None),
+    "n-missing": (PROFILE[:1] + PROFILE[3:], None),
+}
+
+
+@pytest.mark.parametrize("args, config", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_a_validation_error(args, config, tmp_path, capsys):
+    """Malformed flags and config values exit 2 with one line of JSON, also
+    where the parser itself rejects them."""
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args = [*args, "--config", str(path)]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "validation"
+
+
+def test_iso_has_no_outward_cap(capsys):
+    """The leaf interval is finite, so iso takes no --cap."""
+    code, _, err = run_cli(ISO + ["--cap", "10"], capsys)
+    assert code == 2
+    assert "--cap" in json.loads(err)["message"]
+
+
 def test_fig_mu_subcommand(tmp_path, capsys):
     out = tmp_path / "mu"
     code, _, _ = run_cli(["fig-mu", "--outdir", str(out)], capsys)
@@ -252,6 +297,27 @@ def test_import_leaves_out_scipy(module):
                          capture_output=True, text=True, env=child_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_no_unused_module_imports():
+    """Every name that a module of the package imports at module level is
+    used in that module; the package's __init__ re-exports, so it is left out."""
+    unused = []
+    for path in sorted(Path(radcomp.__file__).resolve().parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno)
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused
 
 
 COLD_SHOOTING = """

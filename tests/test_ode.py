@@ -11,8 +11,10 @@ from radcomp import (CauchyData, HelmholtzS3, Nonlinearity, SerrinExplicit, Solv
                      solve_generic, solve_profile, pole_residue,
                      polynomial)
 from radcomp.errors import DomainError, NoZeroFound, NotAdmissible, StepFailure
-from radcomp.ode import (_GROWTH, FailureCode, _eval_piece, _event_root, _leg_pieces,
-                         _pole_start, _quartic, _regular_start, _run_leg, bracketed_newton)
+from radcomp.ode import (_GROWTH, _ZERO, _ZERO_FLOOR, _ZERO_TOL, FailureCode, _eval_piece,
+                         _event_root, _leg_pieces, _pole_start, _quartic, _regular_start,
+                         _run_leg, bracketed_newton)
+from radcomp.spaceform import _SERIES_CUT
 
 EPS = np.finfo(float).eps
 
@@ -141,12 +143,16 @@ def test_singular_start_taylor():
 
 
 def test_singular_start_richardson_consistency():
-    """Halving the offset changes the downstream solution within tolerance."""
+    """Halving the startup offset from the pole moves the zero within tolerance."""
     sf = SpaceForm(3, 1.0)
     f = serrin_fk(3, 1.0)
-    p1 = solve_profile(sf, f, CauchyData(0.0, 1.0), SolveOptions(eps_start=1e-5))
-    p2 = solve_profile(sf, f, CauchyData(0.0, 1.0), SolveOptions(eps_start=5e-6))
-    assert abs(p1.r_plus - p2.r_plus) < 1e-9
+    zeros = []
+    for eps in (1e-5, 5e-6):
+        st_ = _pole_start(sf.radial_coefficient, f, 1.0, 0.0, +1, eps)
+        leg = _run_leg(sf.radial_coefficient, f, st_, sf.r_bar - 1e-9, SolveOptions(), 1.0)
+        assert leg.event == _ZERO
+        zeros.append(leg.end)
+    assert abs(zeros[0] - zeros[1]) < 1e-9
 
 
 def test_singular_start_far_pole():
@@ -178,8 +184,7 @@ def test_solve_generic_matches_radial_bitwise():
     f = serrin_fk(3, 1.0)
     cd = CauchyData(1.0, 1.0)
     p1 = solve_profile(sf, f, cd)
-    p2 = solve_generic(lambda r: 2.0 * sf.cotk(r), f, cd, (0.0, sf.r_bar),
-                       singular_lo=True, singular_hi=True)
+    p2 = solve_generic(lambda r: 2.0 * sf.cotk(r), f, cd, (0.0, sf.r_bar))
     assert p1.r_plus == p2.r_plus and p1.r_minus == p2.r_minus
     for r in np.linspace(p1.r_minus, p1.r_plus, 23):
         assert p1.u(r) == p2.u(r)
@@ -453,8 +458,7 @@ def test_descending_leg_from_the_far_pole_locates_its_zero():
     r_bar - r_plus of the centered profile."""
     sf, f, M = SpaceForm(3, 1.0), serrin_fk(3, 1.0), 0.7
     centered = solve_profile(sf, f, CauchyData(0.0, M))
-    far = solve_generic(sf.radial_coefficient, f, CauchyData(sf.r_bar, M), (0.0, sf.r_bar),
-                        singular_lo=True, singular_hi=True)
+    far = solve_generic(sf.radial_coefficient, f, CauchyData(sf.r_bar, M), (0.0, sf.r_bar))
     assert far.admissible and far.r_plus is None
     assert abs(far.r_minus - (sf.r_bar - centered.r_plus)) < 1e-9
     assert far.dU_minus == pytest.approx(-centered.dU_plus, rel=1e-8)
@@ -470,9 +474,12 @@ def test_descending_leg_from_the_far_pole_locates_its_zero():
 def test_step_size_underflow_raises_step_failure(f):
     """Every trial step that reaches where f is not real is rejected, until
     the step size falls below the spacing of floats (at once when the
-    starting step is not finite)."""
+    starting step is not finite). A non-strict solve returns the failure."""
     with pytest.raises(StepFailure):
         solve_profile(SpaceForm(3, 1.0), f, CauchyData(0.9, 0.75))
+    prof = solve_profile(SpaceForm(3, 1.0), f, CauchyData(0.9, 0.75), strict=False)
+    assert not prof.admissible and prof.failure_code is FailureCode.STEP_FAILURE
+    assert "spacing between floats" in prof.failure
 
 
 # -- zero-location error estimates against closed forms ------------------------------
@@ -542,3 +549,59 @@ def test_zero_error_estimate_serrin_explicit(k, n, x, y):
     assume(prof.admissible)  # for n = 2 and k < 0, large M and small R have no inner zero
     assert_zero_errors_bounded(prof, SerrinExplicit(sf, R, M).u, 0.0,
                                math.nextafter(sf.r_bar, 0.0))
+
+
+# -- the whole domain: both curvature signs, k = 0, the poles and the series cut ------
+
+def _core_radius(sf, where, t):
+    """A core radius next to the pole at 0 (from 100 _ZERO_FLOOR, the closest
+    the solver resolves, or on the pole itself at t = 0), next to r_bar for
+    k > 0 (far out in the tail otherwise), at the series cutover
+    |k| R^2 = _SERIES_CUT, or in between."""
+    k = sf.k
+    if where == "pole":
+        return 100.0 * _ZERO_FLOOR * 10.0 ** (10.0 * t) if t > 0 else 0.0
+    if where == "far":
+        return sf.r_bar * (1.0 - 10.0 ** (-12.0 + 11.0 * t)) if k > 0 else 5.0 + 45.0 * t
+    if where == "cut" and k != 0:
+        return math.sqrt(_SERIES_CUT / abs(k)) * (1.0 + 1e-3 * (t - 0.5))
+    return t * min(sf.r_bar, 5.0)
+
+
+@given(k=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
+                   st.builds(lambda a, sign: sign * a, st.floats(1e-9, 1e-7),
+                             st.sampled_from([-1.0, 1.0]))),
+       family=st.sampled_from(["constant", "serrin_fk", "affine"]),
+       n=st.integers(2, 4), where=st.sampled_from(["pole", "far", "cut", "middle"]),
+       t=st.floats(0.0, 1.0, exclude_max=True), u=st.floats(0.0, 1.0))
+@example(k=1.0, n=4, family="constant", where="far", t=0.0, u=0.5)
+@example(k=-1.0, n=2, family="serrin_fk", where="pole", t=0.0, u=1.0)
+@example(k=-1.0, n=2, family="constant", where="middle", t=1e-13, u=0.0)  # refused: R = 5e-13
+# cot_k loses its accuracy next to a large r_bar: the leg towards it underflows its step
+@example(k=5.960464477539063e-08, n=2, family="constant", where="far", t=0.5, u=0.0)
+@settings(max_examples=150, deadline=None)
+def test_every_solve_is_admissible_or_diagnosed(k, family, n, where, t, u):
+    """A non-strict solve gives either an admissible profile, whose zeros
+    bracket the core and pass the solver's slope-scaled zero test, or a
+    typed failure with its explanation. A core radius too close to the pole
+    at 0 to resolve, but not on it, is refused before any solve."""
+    sf = SpaceForm(n, k)
+    f = {"constant": constant(1.0), "serrin_fk": serrin_fk(n, k),
+         "affine": affine(-0.25, 2.5)}[family]
+    R = _core_radius(sf, where, t)
+    M = (0.02 + 0.96 * u) * min(f.sup_if, 3.0)  # inside I_f
+    if _ZERO_FLOOR < R < 100.0 * _ZERO_FLOOR:
+        with pytest.raises(DomainError, match="too close to the pole"):
+            solve_profile(sf, f, CauchyData(R, M), strict=False)
+        return
+    prof = solve_profile(sf, f, CauchyData(R, M), strict=False)
+    if not prof.admissible:
+        assert isinstance(prof.failure_code, FailureCode) and prof.failure
+        return
+    assert prof.failure is None and prof.failure_code is None
+    assert prof.r_minus is not None or prof.r_plus is not None
+    for r, du in ((prof.r_minus, prof.dU_minus), (prof.r_plus, prof.dU_plus)):
+        if r is not None:
+            assert abs(prof.u(r)) <= _ZERO_TOL * max(1.0, M) * (1.0 + abs(du))
+    assert prof.r_minus is None or prof.r_minus < R
+    assert prof.r_plus is None or R < prof.r_plus

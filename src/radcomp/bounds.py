@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
-from .ode import ModelProfile, bracketed_newton
+from .errors import DomainError
+from .ode import ModelProfile, bracketed_newton, gauss_kronrod
 from .spaceform import SpaceForm
 
 
@@ -204,28 +204,23 @@ def area_ratio_factor(pair: ComparisonPair, t: float) -> float:
 
 def isoperimetric_model_ratio(pair: ComparisonPair) -> float:
     """Volume-to-top-area ratio of the model branch:
-    integral of s_k^(n-1) over the branch, divided by s_k(R)^(n-1)."""
+    integral of s_k^(n-1) over the branch, divided by s_k(R)^(n-1).
+    Raises QuadratureError if the integral misses its error target."""
     if pair.R <= 0:
         raise DomainError("isoperimetric ratio needs R > 0")
-    from scipy.integrate import quad  # deferred, so importing the package does not load scipy
-
     sf = pair.sf
-    lo, hi = pair._lo, pair._hi
-    val, err = quad(lambda r: sf.sk(r) ** (sf.n - 1), lo, hi,
-                    epsabs=1e-14, epsrel=1e-12, limit=300)
-    if not math.isfinite(val):
-        raise QuadratureError("volume quadrature failed")
+    val, _ = gauss_kronrod(lambda r: sf.sk(r) ** (sf.n - 1), pair._lo, pair._hi,
+                           epsabs=1e-14, epsrel=1e-12, limit=300)
     return val / sf.sk(pair.R) ** (sf.n - 1)
 
 
 def isoperimetric_coarea_ratio(pair: ComparisonPair) -> float:
     """Same ratio computed through the level-value parameterization:
     integral over t of s_k(chi(t))^(n-1) / |U'(chi(t))|, with the square-root
-    substitution t = M - w^2 removing the endpoint singularity at t = M."""
+    substitution t = M - w^2 removing the endpoint singularity at t = M.
+    Raises QuadratureError if the integral misses its error target."""
     if pair.R <= 0:
         raise DomainError("isoperimetric ratio needs R > 0")
-    from scipy.integrate import quad  # deferred, so importing the package does not load scipy
-
     sf, M = pair.sf, pair.M
     t_cap = M * (1.0 - 1e-15)
 
@@ -237,9 +232,8 @@ def isoperimetric_coarea_ratio(pair: ComparisonPair) -> float:
             return 0.0
         return sf.sk(r) ** (sf.n - 1) / du * 2.0 * w
 
-    val, err = quad(integrand, 0.0, math.sqrt(M), epsabs=1e-13, epsrel=1e-10, limit=400)
-    if not math.isfinite(val) or err > 1e-7 * max(1.0, abs(val)):
-        raise QuadratureError(f"coarea quadrature failed (err={err})")
+    val, _ = gauss_kronrod(integrand, 0.0, math.sqrt(M), epsabs=1e-13, epsrel=1e-10,
+                           limit=400)
     return val / sf.sk(pair.R) ** (sf.n - 1)
 
 

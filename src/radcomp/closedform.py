@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
-from .ode import bracketed_newton
+from .errors import DomainError
+from .ode import bracketed_newton, gauss_kronrod
 from .spaceform import SpaceForm
 
 # -- flat Serrin ball -----------------------------------------------------------
@@ -85,7 +85,8 @@ def g_regularized(n: int, k: int, r: float) -> float:
 
     k=+1: integral of (1 - sin^n)/(cos^2 sin^(n-1)) from r to pi/2 (the
     integrand has a removable point at pi/2); k=-1: integral of
-    (sinh^n - 1)/(cosh^2 sinh^(n-1)) from r to infinity.
+    (sinh^n - 1)/(cosh^2 sinh^(n-1)) from r to infinity. Raises
+    QuadratureError if a quadrature misses its error target.
     """
     if k not in (1, -1):
         raise DomainError("explicit affine profile requires k = +-1")
@@ -94,28 +95,19 @@ def g_regularized(n: int, k: int, r: float) -> float:
     if k == 1 and r > math.pi / 2.0:
         # the integrand is symmetric about pi/2, so G is odd under r -> pi - r
         return -g_regularized(n, 1, math.pi - r)
-    from scipy.integrate import quad  # deferred, so importing the package does not load scipy
-
     hi = math.pi / 2.0 if k == 1 else _PHI_INF
     split = 0.1
     val = 0.0
-    err = 0.0
     lo = r
     if r < split:
         # the integrand spikes like phi^(1-n) toward 0: integrate in log(phi)
-        v, e = quad(lambda t: _g_integrand(n, k, math.exp(t)) * math.exp(t),
-                    math.log(r), math.log(split), epsabs=1e-12, epsrel=1e-12,
-                    limit=800)
-        val += v
-        err += e
+        val, _ = gauss_kronrod(lambda t: _g_integrand(n, k, math.exp(t)) * math.exp(t),
+                               math.log(r), math.log(split), epsabs=1e-12, epsrel=1e-12,
+                               limit=800)
         lo = split
-    v, e = quad(lambda p: _g_integrand(n, k, p), lo, hi,
-                epsabs=1e-12, epsrel=1e-12, limit=800)
-    val += v
-    err += e
-    if not math.isfinite(val) or err > 1e-9 * max(1.0, abs(val)):
-        raise QuadratureError(f"regularized integral failed at r={r} (err={err})")
-    return val
+    v, _ = gauss_kronrod(lambda p: _g_integrand(n, k, p), lo, hi,
+                         epsabs=1e-12, epsrel=1e-12, limit=800)
+    return val + v
 
 
 class SerrinExplicit:

@@ -10,17 +10,21 @@ second-order Taylor state at a small offset from the pole.
 
 Each leg is integrated by the adaptive Dormand-Prince 5(4) pair on plain
 floats (Dormand & Prince 1980; step control, error norm and initial step as
-in Hairer, Norsett & Wanner, Solving ODEs I, II.4, and as in scipy's RK45).
+in Hairer, Norsett & Wanner, Solving ODEs I, II.4).
 Every accepted step keeps its stages, from which the quartic dense-output
 polynomial of the step (Shampine 1986) is built when the profile is first
 evaluated. The events of a leg are roots of the polynomial of its last step,
 found by `bracketed_newton`, the one root finder of the package (the branch
 inverse in `bounds` and the limit-profile roots in `closedform` call it too).
+`gauss_kronrod` is likewise the one quadrature of the package: the
+isoperimetric ratios in `bounds` and the regularized integral in
+`closedform` call it.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -28,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NoZeroFound, NotAdmissible, StepFailure
+from .errors import DomainError, NoZeroFound, NotAdmissible, QuadratureError, StepFailure
 from .nonlinearity import Nonlinearity
 from .spaceform import SpaceForm
 
@@ -38,6 +42,7 @@ _GROWTH_CAP = 1e6    # |U| > cap * max(1, M) aborts a runaway leg
 _RANGE_TOL = 1e-12   # evaluation slack past the ends of the computed range
 _EPS_START = 1e-6    # startup offset from the core (scaled down on short intervals)
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 # leg events, in the order that breaks ties between simultaneous roots
 _ZERO, _TURN, _GROWTH = 0, 1, 2
@@ -349,6 +354,97 @@ def _event_root(p, event: int, start: float, end: float, cap: float) -> float:
         return sign * g, sign * dg
 
     return bracketed_newton(rising, a, b, r)
+
+
+# QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al. 1983, dqk21): the
+# nodes on [-1, 1] are 0 and +-_XGK[j]; the odd j are the 10-point Gauss nodes,
+# with the Gauss weights _WG[j // 2]. _WGK[10] is the weight of the centre.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208980059507, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_QK21_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)  # Gauss nodes first, as in dqk21
+
+
+def _qk21(f, a: float, b: float):
+    """The 21-point Kronrod value of the integral of f over [a, b] and
+    QUADPACK's error estimate for it: the Kronrod-Gauss difference, scaled
+    by the variation of f and floored at 50 eps times the integral of |f|."""
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    fc = f(centr)
+    resg, resk = 0.0, _WGK[10] * fc
+    resabs = abs(resk)
+    fv = [None] * 10
+    for j in _QK21_ORDER:
+        dx = hlgth * _XGK[j]
+        f1, f2 = f(centr - dx), f(centr + dx)
+        fv[j] = (f1, f2)
+        fsum = f1 + f2
+        if j % 2:
+            resg += _WG[j // 2] * fsum
+        resk += _WGK[j] * fsum
+        resabs += _WGK[j] * (abs(f1) + abs(f2))
+    reskh = 0.5 * resk
+    resasc = _WGK[10] * abs(fc - reskh)
+    for w, (f1, f2) in zip(_WGK, fv):
+        resasc += w * (abs(f1 - reskh) + abs(f2 - reskh))
+    resabs *= abs(hlgth)
+    resasc *= abs(hlgth)
+    err = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > _TINY / (50.0 * _EPS):
+        err = max(50.0 * _EPS * resabs, err)
+    return resk * hlgth, err
+
+
+def gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float,
+                  limit: int) -> tuple:
+    """Integral of f over [a, b] and an estimate of its absolute error.
+
+    Globally adaptive 21-point Gauss-Kronrod quadrature (QUADPACK's QAG with
+    the QK21 rule): the interval with the largest error estimate is bisected
+    until the summed estimate is at most max(epsabs, epsrel |integral|) or
+    `limit` intervals are in use. Raises QuadratureError, naming the estimate
+    and the target, when the estimate misses the target or is not finite.
+    """
+    val, err = _qk21(f, a, b)
+    parts = [(a, b, val, err)]  # the integral is summed in this order
+    heap = [(-err, 0)]
+    area, errsum = val, err
+    target = max(epsabs, epsrel * abs(area))
+    while errsum > target and len(parts) < limit:
+        _, i = heapq.heappop(heap)
+        lo, hi, whole, whole_err = parts[i]
+        mid = 0.5 * (lo + hi)
+        left, right = (lo, mid, *_qk21(f, lo, mid)), (mid, hi, *_qk21(f, mid, hi))
+        area += left[2] + right[2] - whole
+        errsum += left[3] + right[3] - whole_err
+        if right[3] > left[3]:  # as QUADPACK: the larger error keeps the slot
+            left, right = right, left
+        parts[i] = left
+        parts.append(right)
+        heapq.heappush(heap, (-left[3], i))
+        heapq.heappush(heap, (-right[3], len(parts) - 1))
+        target = max(epsabs, epsrel * abs(area))
+    if not errsum <= target:
+        raise QuadratureError(
+            f"quadrature error estimate {errsum:.3g} exceeds the target {target:.3g} "
+            f"on [{a!r}, {b!r}] with {len(parts)} intervals")
+    total = 0.0
+    for part in parts:  # not sum(), which compensates from Python 3.12 on
+        total += part[2]
+    return total, errsum
 
 
 @dataclass

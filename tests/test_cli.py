@@ -290,8 +290,8 @@ def test_console_script_entrypoint():
 @pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.optimize", "scipy.integrate"])
 def test_import_leaves_out_scipy(module):
     """Importing the package loads none of these scipy modules: roots come
-    from the package's own bracketed Newton, and quad is imported by the
-    functions that integrate."""
+    from the package's own bracketed Newton, integrals from its own
+    Gauss-Kronrod rule."""
     res = subprocess.run([sys.executable, "-c", "import sys, radcomp; "
                           f"print({module!r} in sys.modules)"],
                          capture_output=True, text=True, env=child_env())
@@ -320,6 +320,44 @@ def test_no_unused_module_imports():
     assert not unused
 
 
+def test_no_module_imports_scipy():
+    """No module of the package imports scipy, at module level or inside a
+    function: numpy is its one runtime dependency."""
+    found = []
+    for path in sorted(Path(radcomp.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found
+
+
+CLI_MODULES = """
+import sys
+from radcomp.cli import main
+code = main(sys.argv[1:])
+print(code, "scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["bounds", "--n", "2", "--k", "0", "--f", "constant:1", "--R", "1.0", "--M", "0.403426",
+     "--sign", "plus"],
+    ["selftest", "--only", "10"]])
+def test_bounds_and_selftest_leave_out_scipy(args):
+    """A bound report, with both isoperimetric quadratures, and the
+    isoperimetric acceptance criterion run without loading scipy."""
+    res = subprocess.run([sys.executable, "-c", CLI_MODULES, *args], capture_output=True,
+                         text=True, env=child_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 False"
+
+
 COLD_SHOOTING = """
 import sys
 import numpy as np
@@ -339,12 +377,12 @@ print(ratio > 0, "scipy.integrate" in sys.modules)
 
 def test_shooting_and_gap_leave_out_scipy():
     """A solve, a tau scan and a k = -1 gap estimate with its limit-profile
-    prediction load neither scipy.optimize nor scipy.integrate; the first
-    quadrature then imports quad."""
+    prediction load neither scipy.optimize nor scipy.integrate, and neither
+    does the first quadrature: the package integrates with its own rule."""
     res = subprocess.run([sys.executable, "-c", COLD_SHOOTING], capture_output=True,
                          text=True, env=child_env())
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["[]", "True True"]
+    assert res.stdout.splitlines() == ["[]", "True False"]
 
 
 def test_failing_hypothesis_test_reports_its_example(tmp_path, pytestconfig):

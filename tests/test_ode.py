@@ -10,10 +10,11 @@ from radcomp import (CauchyData, HelmholtzS3, Nonlinearity, SerrinExplicit, Solv
                      SpaceForm, affine, allen_cahn, constant, serrin_fk, serrin_flat_radius,
                      solve_generic, solve_profile, pole_residue,
                      polynomial)
-from radcomp.errors import DomainError, NoZeroFound, NotAdmissible, StepFailure
-from radcomp.ode import (_GROWTH, _ZERO, _ZERO_FLOOR, _ZERO_TOL, FailureCode, _eval_piece,
-                         _event_root, _leg_pieces, _pole_start, _quartic, _regular_start,
-                         _run_leg, bracketed_newton)
+from radcomp.closedform import _g_integrand
+from radcomp.errors import DomainError, NoZeroFound, NotAdmissible, QuadratureError, StepFailure
+from radcomp.ode import (_GROWTH, _WG, _XGK, _ZERO, _ZERO_FLOOR, _ZERO_TOL, FailureCode,
+                         _eval_piece, _event_root, _leg_pieces, _pole_start, _qk21, _quartic,
+                         _regular_start, _run_leg, bracketed_newton, gauss_kronrod)
 from radcomp.spaceform import _SERIES_CUT
 
 EPS = np.finfo(float).eps
@@ -440,6 +441,99 @@ def test_bracketed_newton_bisects_where_the_derivative_vanishes():
 
     assert bracketed_newton(gd, 0.0, 2.0, 0.0) == 1.0
     assert seen == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.5, 2.0)])
+def test_gauss_kronrod_rule_degrees(a, b):
+    """The 21-point Kronrod rule integrates polynomials of degree <= 31
+    exactly and the embedded 10-point Gauss rule those of degree <= 19; one
+    degree more and each is off by far more than rounding. While the Gauss
+    rule is exact, the error estimate of the rule is its rounding floor, 50
+    eps times the integral of |f|. The polynomial is (x - c)^d with c inside
+    [a, b], off its centre; `scale` is the integral of its absolute value."""
+    c = 0.5 * (a + b) + 0.1
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    for d in range(34):
+        def poly(x):
+            return (x - c) ** d
+        exact = ((b - c) ** (d + 1) - (a - c) ** (d + 1)) / (d + 1)
+        scale = ((b - c) ** (d + 1) + (c - a) ** (d + 1)) / (d + 1)
+        kronrod, err = _qk21(poly, a, b)
+        gauss = half * sum(w * (poly(centre - half * x) + poly(centre + half * x))
+                           for x, w in zip(_XGK[1::2], _WG))
+        assert (abs(kronrod - exact) <= 1e-14 * scale) == (d <= 31), d
+        assert (abs(gauss - exact) <= 1e-14 * scale) == (d <= 19), d
+        if d <= 19:
+            assert 40 * EPS * scale <= err <= 60 * EPS * scale, d
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("k, a, b", [(-1.0, 0.2, 3.0), (0.0, 0.0, 2.5), (1.0, 0.3, 2.9)])
+def test_gauss_kronrod_agrees_with_quadpack_on_volume_integrands(k, n, a, b):
+    """s_k^(n-1) over a branch-like interval, at the volume ratio's targets:
+    the two results differ by no more than the sum of their error estimates."""
+    sf = SpaceForm(n, k)
+
+    def f(r):
+        return sf.sk(r) ** (n - 1)
+    val, err = gauss_kronrod(f, a, b, epsabs=1e-14, epsrel=1e-12, limit=300)
+    ref, ref_err = quad(f, a, b, epsabs=1e-14, epsrel=1e-12, limit=300)
+    assert abs(val - ref) <= err + ref_err
+    assert err <= max(1e-14, 1e-12 * abs(val))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("k", [-1, 1])
+@pytest.mark.parametrize("r", [1e-4, 0.003, 0.05])
+def test_gauss_kronrod_agrees_with_quadpack_on_the_log_substituted_oracle(k, n, r):
+    """The log(phi) piece of closedform.g_regularized, at its targets."""
+    def f(t):
+        return _g_integrand(n, k, math.exp(t)) * math.exp(t)
+    val, err = gauss_kronrod(f, math.log(r), math.log(0.1), epsabs=1e-12, epsrel=1e-12,
+                             limit=800)
+    ref, ref_err = quad(f, math.log(r), math.log(0.1), epsabs=1e-12, epsrel=1e-12, limit=800)
+    assert abs(val - ref) <= err + ref_err
+
+
+# antiderivatives as tuples of terms, so the rounding of the exact value can
+# be bounded by that of its terms
+CLOSED_FORMS = [
+    ("r", lambda r: r, lambda r: (r * r / 2.0,)),
+    ("r^2", lambda r: r * r, lambda r: (r ** 3 / 3.0,)),
+    ("r^3", lambda r: r ** 3, lambda r: (r ** 4 / 4.0,)),
+    ("sinh", math.sinh, lambda r: (math.cosh(r),)),
+    ("sinh^2", lambda r: math.sinh(r) ** 2, lambda r: (math.sinh(2.0 * r) / 4.0, -r / 2.0)),
+    ("sinh^3", lambda r: math.sinh(r) ** 3,
+     lambda r: (math.cosh(r) ** 3 / 3.0, -math.cosh(r))),
+    ("sqrt", math.sqrt, lambda r: (2.0 / 3.0 * r ** 1.5,)),  # singular derivative at 0
+]
+
+
+@given(form=st.sampled_from(CLOSED_FORMS), a=st.floats(0.0, 2.0),
+       width=st.floats(0.01, 4.0), epsrel=st.sampled_from([1e-4, 1e-8, 1e-12]))
+@settings(max_examples=60, deadline=None)
+def test_gauss_kronrod_error_estimate_bounds_the_true_error(form, a, width, epsrel):
+    _, f, terms = form
+    b = a + width
+    val, err = gauss_kronrod(f, a, b, epsabs=0.0, epsrel=epsrel, limit=200)
+    exact = sum(terms(b)) - sum(terms(a))
+    rounding = 4 * EPS * sum(abs(t) for t in terms(a) + terms(b))  # of `exact`
+    assert abs(val - exact) <= err + rounding
+    assert err <= epsrel * abs(val)
+
+
+def test_gauss_kronrod_raises_when_the_target_is_missed():
+    """A jump at 1/3 needs many bisections: with three intervals the estimate
+    misses the target and the failure names both; with enough intervals the
+    same integral is met. A nan integrand never meets a target."""
+    def step(x):
+        return 1.0 if x > 1.0 / 3.0 else 0.0
+    with pytest.raises(QuadratureError, match=r"error estimate \S+ exceeds the target 1e-10"):
+        gauss_kronrod(step, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=3)
+    val, err = gauss_kronrod(step, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
+    assert abs(val - 2.0 / 3.0) <= err <= 1e-10
+    with pytest.raises(QuadratureError):
+        gauss_kronrod(lambda x: math.nan, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=50)
 
 
 def test_d2u_accepts_arrays():

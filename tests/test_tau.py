@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radcomp import (CauchyData, SolveOptions, SpaceForm, constant,
                      figure_gap_curve, gap_estimate, normalization_constant,
@@ -153,6 +154,44 @@ def test_single_point_gap_flat():
     data = est.asymptote_data
     assert data["prediction"] == {"limit": 2, "plus_offset": data["tau_plus_limit"] - 2,
                                   "minus_offset": data["tau_minus_limit"] - 2}
+
+
+def scan_like_grid(n, k, u):
+    """M and a 12-row core-radius grid (R = 0 and 11 radii reaching the
+    tails) shaped like the benchmark's scan inputs, from three draws in [0, 1]."""
+    if k < 0:
+        M = (0.1 + 0.8 * u[0]) / n  # inside I_f = (0, 1/n) of serrin_fk
+        radii = np.linspace(0.1 + 0.3 * u[1], 9.0 + 3.0 * u[2], 11)
+    elif k == 0:
+        M = 0.3 + 1.7 * u[0]
+        radii = np.geomspace(0.3 + 0.5 * u[1], 30.0 + 20.0 * u[2], 11)
+    else:
+        M = 0.3 + 1.7 * u[0]
+        radii = np.linspace(0.05 + 0.25 * u[1], math.pi * (0.95 + 0.04 * u[2]), 11)
+    return M, np.concatenate([[0.0], radii])
+
+
+@given(k=st.sampled_from([-1.0, 0.0, 1.0]), n=st.integers(2, 4),
+       family=st.sampled_from(["serrin_fk", "constant"]),
+       u=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+@settings(max_examples=30, deadline=None)
+def test_scan_tau0_and_ordered_intervals(k, n, family, u):
+    """tau_plus(0) = 1, and every gap and admissible interval that
+    gap_estimate returns has lo <= hi; a refusal (InsufficientRange) is a
+    valid outcome."""
+    M, grid = scan_like_grid(n, k, u)
+    f = serrin_fk(n, k) if family == "serrin_fk" else constant(1.0)
+    table = tau_scan(SpaceForm(n, k), f, M, grid)
+    row0 = table.rows[0]
+    assert row0.R == 0.0 and abs(row0.tau_plus - 1.0) <= 1e-10
+    try:
+        est = gap_estimate(table)
+    except InsufficientRange:
+        return
+    for lo, hi in est.adm:
+        assert lo <= hi
+    if len(est.gap) == 2:
+        assert est.gap[0] <= est.gap[1]
 
 
 def test_figure_gap_curve_properties():

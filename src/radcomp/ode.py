@@ -77,6 +77,21 @@ class SolveOptions:
     r_max_cap: float = 200.0      # outward span past R on unbounded intervals
 
 
+@dataclass(frozen=True)
+class SolveStats:
+    """What the integrator did in a solve, summed over the legs that ran to
+    an end: integration legs and accepted and rejected trial steps."""
+    legs: int = 0
+    steps: int = 0
+    rejected: int = 0
+
+    @property
+    def rhs_evals(self) -> int:
+        """Right-hand-side evaluations: 6 per attempted step, plus one at the
+        start of each leg and one for its initial step size."""
+        return 6 * (self.steps + self.rejected) + 2 * self.legs
+
+
 @dataclass
 class StartState:
     r0: float
@@ -119,7 +134,7 @@ class ModelProfile:
     dense-output quartic of every accepted integrator step. The pieces are
     built from the stored step rows on the first evaluation, so a solve whose
     profile is never evaluated does not pay for them. `u`, `du` and `d2u`
-    take a radius or an array of radii.
+    take a radius or an array of radii. `stats` counts the integrator's work.
     """
 
     def __init__(self, b, f, cauchy, sf=None):
@@ -138,6 +153,7 @@ class ModelProfile:
         self.failure_code: Optional[FailureCode] = None
         self.r_lo: float = math.nan    # computed radial range
         self.r_hi: float = math.nan
+        self.stats = SolveStats()
         self._taylor = None    # (startup patch as a piece, its lower end)
         self._legs = []        # the accepted-step rows of each leg
         self._pieces = None    # built on first use; rows: t, h, U(t), U'(t), q of U, q of U'
@@ -450,13 +466,15 @@ def gauss_kronrod(f, a: float, b: float, epsabs: float, epsrel: float,
 @dataclass
 class _Leg:
     """One integrated leg: its accepted-step rows, where it stopped, (U, U')
-    there, the event that stopped it (None at the target), and the local
-    error estimates of the steps carried to the end as an error in U."""
+    there, the event that stopped it (None at the target), the local error
+    estimates of the steps carried to the end as an error in U, and its
+    rejected trial steps."""
     steps: list
     end: float
     state: tuple
     event: Optional[int]
     u_error: float
+    rejected: int
 
 
 def _rms(a, b):
@@ -485,9 +503,10 @@ def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: floa
     """Integrate one leg, stopping at the first zero of U, a vanishing of U',
     runaway growth, or the target endpoint.
 
-    The state is (U, V = U') with V' = W = -b(r) V - f(U). An event fires when
-    U falls to 0, V changes sign, or U rises to the growth cap between two
-    step ends; its radius is the root of that step's dense output.
+    The state is (U, V = U') with V' = W = -b(r) V - f(U), where b and f are
+    plain scalar functions. An event fires when U falls to 0, V changes sign,
+    or U rises to the growth cap between two step ends; its radius is the
+    root of that step's dense output.
     """
     rtol = max(opts.rtol, 100 * _EPS)  # the floor RK45 puts on rtol
     atol = opts.atol
@@ -498,10 +517,12 @@ def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: floa
     fired = []
     err_u = err_v = err_vr = 0.0  # sums of |local error| of U, of U', of U' times r
     direction = 1.0 if target >= t else -1.0
+    toward = direction * math.inf
     h_abs = (_initial_step(b, f, t, u, v, w, target, direction, rtol, atol)
              if t != target else 0.0)
+    rejected_steps = 0
     while t != target and not fired:
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        min_step = 10.0 * abs(math.nextafter(t, toward) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -557,6 +578,7 @@ def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: floa
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.2)
             rejected = True
+            rejected_steps += 1
 
         steps.append((t, h, u, v, t_new, v, v3, v4, v5, v6, vn, w, w3, w4, w5, w6, wn))
         err_u += abs(eu)
@@ -575,7 +597,7 @@ def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: floa
         return err_u + abs(end * err_v - err_vr)
 
     if not fired:
-        return _Leg(steps, t, (u, v), None, u_error(t))
+        return _Leg(steps, t, (u, v), None, u_error(t), rejected_steps)
     last = steps[-1]
     p = [*last[:4], *_quartic(*last[5:11]), *_quartic(*last[11:17])]
     roots = []
@@ -583,7 +605,7 @@ def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: floa
         root = _event_root(p, e, last[0], t, cap)
         roots.append((direction * root, e, root))
     _, event, end = min(roots)  # the first root along the leg; ties go by event order
-    return _Leg(steps, end, _eval_piece(p, end), event, u_error(end))
+    return _Leg(steps, end, _eval_piece(p, end), event, u_error(end), rejected_steps)
 
 
 def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
@@ -646,13 +668,16 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
         else:
             target = lo + _ZERO_FLOOR
         try:
-            leg = _run_leg(b, f, st, target, opts, M)
+            leg = _run_leg(b, f.func, st, target, opts, M)
         except StepFailure as e:
             if strict:
                 raise
             diagnostics.append((FailureCode.STEP_FAILURE, str(e)))
             continue
         prof._legs.append(leg.steps)
+        stats = prof.stats
+        prof.stats = SolveStats(stats.legs + 1, stats.steps + len(leg.steps),
+                                stats.rejected + leg.rejected)
         r_lo, r_hi = min(r_lo, st.r0, leg.end), max(r_hi, st.r0, leg.end)
 
         if leg.event == _ZERO:

@@ -4,13 +4,16 @@ A space form here is the pair (n, k): dimension and the constant curvature
 bound entering the radial coefficient. All formulas are scalar functions of
 the radius; the generalized sine s_k and its derivative switch between the
 hyperbolic / flat / trigonometric branches and go through a power series
-near k = 0 so that k can be scanned continuously.
+near k = 0 so that k can be scanned continuously. The ratio s_k'/s_k, which
+the shooting loop evaluates at every stage, is built once per form as a
+closure for its curvature branch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import DomainError, SingularityError
 
@@ -31,18 +34,62 @@ def _dsk_series(k, r):
     return 1.0 - q / 2.0 * (1.0 - q / 12.0 * (1.0 - q / 30.0))
 
 
+def _cot_kernel(k: float, s: float, r_bar: float, scale: int) -> Callable[[float], float]:
+    """r -> scale * s_k'(r) / s_k(r) for the form with curvature k, s = sqrt|k|
+    and endpoint r_bar, with a simple pole at r = 0 (and at r_bar for k > 0).
+
+    The constants are bound as locals and each curvature branch has its own
+    closure, so a call runs in one frame without branching on k. The quotient
+    is `dsk(r) / sk(r)` spelled out with the same operations in the same
+    order, so it agrees with them to the last bit; at k = 0 the series gives
+    exactly 1 / r. The range checks imply those of `sk` and `dsk`.
+    """
+    def check(r):
+        if r <= 0.0:
+            raise SingularityError(f"cot_k has a pole at r = 0 (got r = {r})")
+        raise DomainError(f"radius {r} outside (0, r_bar = {r_bar})")
+
+    if k == 0.0:
+        def flat(r):
+            r = float(r)
+            if r <= 0.0 or r >= r_bar:
+                check(r)
+            return scale * (1.0 / r)
+        return flat
+
+    abs_k, cut = abs(k), _SERIES_CUT
+    cos, sin = (math.cos, math.sin) if k > 0.0 else (math.cosh, math.sinh)
+
+    def curved(r):
+        r = float(r)
+        if r <= 0.0 or r >= r_bar:
+            check(r)
+        if abs_k * r * r < cut:
+            q = k * r * r
+            return scale * ((1.0 - q / 2.0 * (1.0 - q / 12.0 * (1.0 - q / 30.0)))
+                            / (r * (1.0 - q / 6.0 * (1.0 - q / 20.0 * (1.0 - q / 42.0)))))
+        return scale * (cos(s * r) / (sin(s * r) / s))
+    return curved
+
+
 @dataclass(frozen=True)
 class SpaceForm:
     """Ambient data (dimension, curvature) with the derived endpoint r_bar.
 
     r_bar is pi/sqrt(k) for k > 0 and +inf otherwise; every range check in
-    the toolkit goes through it.
+    the toolkit goes through it. `cotk(r)` = s_k'(r) / s_k(r) and
+    `radial_coefficient(r)` = (n - 1) cot_k(r), the first-order coefficient of
+    the radial equation, are functions built at construction (`_cot_kernel`):
+    SingularityError at r <= 0, DomainError at r >= r_bar.
     """
 
     n: int
     k: float
     r_bar: float = field(init=False)
     _sqrt_abs_k: float = field(init=False, repr=False, compare=False)
+    cotk: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    radial_coefficient: Callable[[float], float] = field(init=False, repr=False,
+                                                         compare=False)
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
@@ -52,6 +99,13 @@ class SpaceForm:
         s = math.sqrt(abs(self.k))
         object.__setattr__(self, "_sqrt_abs_k", s)
         object.__setattr__(self, "r_bar", math.pi / s if self.k > 0 else math.inf)
+        object.__setattr__(self, "cotk", _cot_kernel(self.k, s, self.r_bar, 1))
+        object.__setattr__(self, "radial_coefficient",
+                           _cot_kernel(self.k, s, self.r_bar, self.n - 1))
+
+    def __reduce__(self):
+        # the kernels are closures, which do not pickle; rebuild them instead
+        return (SpaceForm, (self.n, self.k))
 
     # -- warping function and derivative ------------------------------------
 
@@ -82,29 +136,7 @@ class SpaceForm:
             return math.cos(self._sqrt_abs_k * r)
         return math.cosh(self._sqrt_abs_k * r)
 
-    # -- cotangent / tangent ratios ------------------------------------------
-
-    def cotk(self, r: float) -> float:
-        """s_k'(r) / s_k(r); simple pole at r = 0 (and at r_bar for k > 0).
-
-        The shooting loop calls this at every stage, so `dsk(r) / sk(r)` is
-        spelled out here: the same operations in the same order, without the
-        range checks that the two checks below already imply.
-        """
-        r = float(r)
-        if r <= 0.0:
-            raise SingularityError(f"cot_k has a pole at r = 0 (got r = {r})")
-        if r >= self.r_bar:
-            raise DomainError(f"radius {r} outside (0, r_bar = {self.r_bar})")
-        k = self.k
-        if abs(k) * r * r < _SERIES_CUT:
-            q = k * r * r
-            return ((1.0 - q / 2.0 * (1.0 - q / 12.0 * (1.0 - q / 30.0)))
-                    / (r * (1.0 - q / 6.0 * (1.0 - q / 20.0 * (1.0 - q / 42.0)))))
-        s = self._sqrt_abs_k
-        if k > 0.0:
-            return math.cos(s * r) / (math.sin(s * r) / s)
-        return math.cosh(s * r) / (math.sinh(s * r) / s)
+    # -- tangent ratio --------------------------------------------------------
 
     def tank(self, r: float) -> float:
         """s_k(r) / s_k'(r); for k > 0 singular at r_bar/2 where s_k' vanishes."""
@@ -115,8 +147,3 @@ class SpaceForm:
             raise SingularityError(f"tan_k singular at r_bar/2 = {0.5 * self.r_bar}")
         return self.sk(r) / self.dsk(r)
 
-    # -- radial drift of the Laplace operator ---------------------------------
-
-    def radial_coefficient(self, r: float) -> float:
-        """(n-1) cot_k(r), the first-order coefficient of the radial equation."""
-        return (self.n - 1) * self.cotk(r)

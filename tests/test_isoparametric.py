@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from radcomp import (CauchyData, IsoparametricFamily, SolveOptions, SpaceForm,
                      allen_cahn, constant, descent_check,
@@ -57,11 +58,19 @@ def test_unbalanced_coefficient_pole_residues():
         == pytest.approx(fam.m2, abs=1e-7)
 
 
-def test_degree_one_reduces_to_radial():
-    fam = IsoparametricFamily(1, 2, 2, 3)
+@given(m=st.integers(1, 3), t=st.floats(0.05, 0.95), q=st.floats(0.01, 1.0))
+@example(m=2, t=0.7 / math.pi, q=0.5 / 0.7 ** 2)
+@settings(max_examples=25, deadline=None)
+def test_degree_one_reduces_to_radial(m, t, q):
+    """Degree 1 with multiplicities m is the radial problem on the round
+    sphere of dimension m + 1. M scales with the squared distance from S to
+    the nearer focal pole, which keeps both zeros inside (0, pi)."""
+    fam = IsoparametricFamily(1, m, m, m + 1)
     f = constant(1.0)
-    iso = solve_iso_profile(fam, f, 0.7, 0.5)
-    prof = solve_profile(SpaceForm(3, 1.0), f, CauchyData(0.7, 0.5))
+    S = t * math.pi
+    M = q * min(S, math.pi - S) ** 2
+    iso = solve_iso_profile(fam, f, S, M)
+    prof = solve_profile(SpaceForm(m + 1, 1.0), f, CauchyData(S, M))
     assert iso.s_minus == pytest.approx(prof.r_minus, abs=1e-10)
     assert iso.s_plus == pytest.approx(prof.r_plus, abs=1e-10)
     for s in np.linspace(iso.s_minus, iso.s_plus, 31):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,8 @@ from radcomp import (CauchyData, HelmholtzS3, Nonlinearity, SerrinExplicit, Solv
 from radcomp.closedform import _g_integrand
 from radcomp.errors import DomainError, NoZeroFound, NotAdmissible, QuadratureError, StepFailure
 from radcomp.ode import (_GROWTH, _WG, _XGK, _ZERO, _ZERO_FLOOR, _ZERO_TOL, FailureCode,
-                         _eval_piece, _event_root, _leg_pieces, _pole_start, _qk21, _quartic,
-                         _regular_start, _run_leg, bracketed_newton, gauss_kronrod)
+                         SolveStats, _eval_piece, _event_root, _leg_pieces, _pole_start, _qk21,
+                         _quartic, _regular_start, _run_leg, bracketed_newton, gauss_kronrod)
 from radcomp.spaceform import _SERIES_CUT
 
 EPS = np.finfo(float).eps
@@ -54,6 +55,24 @@ def reflect_profile_check(sf, f, cd):
 def test_spherical_reflection_symmetry(R, M):
     sf = SpaceForm(3, 1.0)
     err = reflect_profile_check(sf, serrin_fk(3, 1.0), CauchyData(R, M))
+    assert err < 1e-8
+
+
+@given(n=st.integers(2, 4), k=st.floats(0.25, 4.0),
+       family=st.sampled_from(["constant", "serrin_fk", "affine"]),
+       t=st.floats(0.05, 0.95), m=st.floats(0.01, 1.0))
+@example(n=3, k=1.0, family="serrin_fk", t=0.5, m=1.0)
+@settings(max_examples=30, deadline=None)
+def test_spherical_reflection_symmetry_across_families(n, k, family, t, m):
+    """For k > 0 the profile of the core radius r_bar - R is the mirror image
+    of that of R. M scales with the squared distance d from the core to the
+    nearer pole, which keeps both zeros inside (0, r_bar)."""
+    sf = SpaceForm(n, k)
+    f = {"constant": constant(1.0), "serrin_fk": serrin_fk(n, k),
+         "affine": affine(-0.25, 2.5)}[family]
+    R = t * sf.r_bar
+    M = m * min(R, sf.r_bar - R) ** 2
+    err = reflect_profile_check(sf, f, CauchyData(R, M))
     assert err < 1e-8
 
 
@@ -320,7 +339,7 @@ def test_dense_output_continuous_across_steps():
 def test_each_stage_node_is_evaluated_once():
     """Per attempted step, b at its 5 distinct nodes (stage 6 and the FSAL
     stage share t + h) and f at its 6 stages; plus one call of each at the
-    start and one for the initial-step probe."""
+    start and one for the initial-step probe. The leg's own counts agree."""
     sf, f = SpaceForm(3, -1.0), serrin_fk(3, -1.0)
     calls = {"b": 0, "f": 0}
 
@@ -336,6 +355,19 @@ def test_each_stage_node_is_evaluated_once():
     leg = _run_leg(b, g, start, 50.0, SolveOptions(), 0.25)
     assert leg.event is not None and len(leg.steps) > 10
     assert (calls["b"] - 2) / 5 == (calls["f"] - 2) / 6 >= len(leg.steps)
+    assert calls["f"] == 6 * (len(leg.steps) + leg.rejected) + 2 \
+        == SolveStats(1, len(leg.steps), leg.rejected).rhs_evals
+
+
+def test_solve_stats_of_one_profile():
+    """The integrator's work in one two-leg solve, summed over the legs: the
+    counts are deterministic, so they are pinned."""
+    prof = solve_profile(SpaceForm(3, 1.0), serrin_fk(3, 1.0), CauchyData(1.0, 1.0))
+    assert prof.stats == SolveStats(legs=2, steps=87, rejected=3)
+    assert prof.stats.rhs_evals == 6 * 90 + 2 * 2
+    assert prof.stats.steps == sum(len(p) for p in prof._legs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prof.stats.steps = 0
 
 
 def test_dense_output_built_on_first_use_matches_immediate():

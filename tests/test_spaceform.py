@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -151,3 +154,27 @@ def test_cotk_range_errors(k, t):
             with pytest.raises(DomainError) as exc:
                 fn(r)
             assert type(exc.value) is DomainError
+
+
+def test_space_form_is_a_plain_value():
+    """The kernels built at construction leave SpaceForm a value: equality,
+    hash and repr come from (n, k) alone, copies and replacements rebuild
+    their own kernels, and forms with another k never share one."""
+    a, b, c = SpaceForm(3, 1.0), SpaceForm(3, 1), SpaceForm(3, 4.0)
+    assert a == b and hash(a) == hash(b) and a != c
+    assert len({a, b, c}) == 2
+    assert repr(a) == f"SpaceForm(n=3, k=1.0, r_bar={math.pi!r})"
+    assert repr(SpaceForm(2, -1.0)) == "SpaceForm(n=2, k=-1.0, r_bar=inf)"
+    assert a.cotk is not c.cotk and a.radial_coefficient is not c.radial_coefficient
+    assert a.cotk(0.5) != c.cotk(0.5)
+    r = 0.7
+    for other in (copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert other == c and repr(other) == repr(c)
+        assert other.cotk(r) == c.cotk(r)
+        assert other.radial_coefficient(r) == c.radial_coefficient(r)
+    moved = dataclasses.replace(a, k=4.0)
+    assert moved == c and moved.r_bar == c.r_bar
+    assert moved.cotk(r) == c.cotk(r) and moved.cotk is not a.cotk
+    assert dataclasses.replace(a, n=5).radial_coefficient(r) == 4 * a.cotk(r)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.k = 4.0

@@ -319,7 +319,7 @@ def crit_isoparametric():
     iso = solve_iso_profile(fam1, f, 0.7, 0.5)
     prof = solve_profile(SpaceForm(3, 1.0), f, CauchyData(0.7, 0.5))
     ss = np.linspace(iso.s_minus, iso.s_plus, 41)
-    err1 = max(abs(iso.z(s) - prof.u(s)) for s in ss)
+    err1 = max(abs(iso.profile.u(s) - prof.u(s)) for s in ss)
     _check(err1 < 1e-8, msgs, f"degree-1 vs radial: {err1}")
 
     fam2 = IsoparametricFamily(2, 1, 1, 3)
@@ -327,7 +327,7 @@ def crit_isoparametric():
     a = solve_iso_profile(fam2, f, S, 0.1)
     b = solve_iso_profile(fam2, f, fam2.s_max - S, 0.1)
     ss = np.linspace(a.s_minus, a.s_plus, 41)
-    err2 = max(abs(a.z(s) - b.z(fam2.s_max - s)) for s in ss)
+    err2 = max(abs(a.profile.u(s) - b.profile.u(fam2.s_max - s)) for s in ss)
     _check(err2 < 1e-8, msgs, f"reflection identity: {err2}")
 
     families = [IsoparametricFamily(1, 2, 2, 3), IsoparametricFamily(2, 1, 1, 3),
@@ -369,12 +369,15 @@ def _artifact_bundle(outdir: Path):
 
 
 def crit_determinism(outdir: Optional[Path] = None):
-    """Two full artifact-bundle runs must be byte-identical."""
-    import tempfile
+    """Two full artifact-bundle runs must be byte-identical. Without outdir
+    they go to a temporary directory that is removed afterwards."""
+    if outdir is None:
+        import tempfile
+        with tempfile.TemporaryDirectory(prefix="radcomp-") as tmp:
+            return crit_determinism(Path(tmp))
     msgs = []
-    base = Path(outdir) if outdir is not None else Path(tempfile.mkdtemp(prefix="radcomp-"))
-    d1 = _artifact_bundle(base / "run1")
-    d2 = _artifact_bundle(base / "run2")
+    d1 = _artifact_bundle(Path(outdir) / "run1")
+    d2 = _artifact_bundle(Path(outdir) / "run2")
     for name in d1:
         _check(d1[name] == d2[name], msgs, f"{name} differs between runs")
     detail = f"{len(d1)} artifacts byte-identical"

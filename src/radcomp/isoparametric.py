@@ -81,12 +81,6 @@ class IsoProfile:
     def admissible(self) -> bool:
         return self.profile.admissible
 
-    def z(self, s):
-        return self.profile.u(s)
-
-    def dz(self, s):
-        return self.profile.du(s)
-
     def header(self) -> dict:
         fam = self.family
         return {"ell": fam.ell, "m1": fam.m1, "m2": fam.m2, "c": fam.c, "n": fam.n,

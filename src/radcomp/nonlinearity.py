@@ -1,6 +1,6 @@
 """Nonlinearity registry and structural condition checks.
 
-Each nonlinearity carries a scalar evaluator, an optional derivative, its
+Each nonlinearity carries a scalar evaluator, its derivative, its
 parameters, and the positivity interval I_f = (0, sup_if) it is meant to be
 used on. The three structural predicates are verified on finite sample
 grids; the grid is part of the reported result, and a violation found on a
@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,40 +29,15 @@ _COND_TOL = 1e-10
 class Nonlinearity:
     name: str
     func: Callable[[float], float]
-    deriv: Optional[Callable[[float], float]] = None
+    d: Callable[[float], float]  # f'
     params: dict = field(default_factory=dict)
     sup_if: float = math.inf  # I_f = (0, sup_if)
 
     def __call__(self, x):
         return self.func(x)
 
-    def d(self, x):
-        """Derivative at x; central finite difference when none was supplied."""
-        if self.deriv is not None:
-            return self.deriv(x)
-        h = 1e-6 * max(1.0, abs(x))
-        return (self.func(x + h) - self.func(x - h)) / (2.0 * h)
-
     def describe(self):
         return {"family": self.name, "params": dict(self.params), "sup_if": self.sup_if}
-
-    def validate(self) -> None:
-        """Type invariants on the 257-point condition grid: difference
-        quotients bounded by 1e12, and agreement of the supplied derivative
-        with central differences to 1e-6 max(1, |f'|)."""
-        grid = condition_grid(self, npoints=257)
-        vals = np.array([self.func(x) for x in grid])
-        dq = np.abs(np.diff(vals) / np.diff(grid))
-        if np.any(~np.isfinite(dq)) or np.any(dq > 1e12):
-            raise DomainError(f"{self.name}: difference quotients unbounded on the grid")
-        if self.deriv is not None:
-            for x in grid[1:-1:16]:
-                h = 1e-6 * max(1.0, abs(x))
-                fd = (self.func(x + h) - self.func(x - h)) / (2.0 * h)
-                dv = self.deriv(x)
-                if abs(fd - dv) > 1e-6 * max(1.0, abs(dv)):
-                    raise DomainError(
-                        f"{self.name}: derivative mismatch at x={x}: {dv} vs FD {fd}")
 
 
 # -- built-in families --------------------------------------------------------
@@ -146,11 +122,20 @@ _FAMILIES = {
 }
 
 
+def _finite_real(v) -> bool:
+    """A real number, not a bool, that is finite as a binary64."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
 def from_descriptor(desc: dict) -> Nonlinearity:
     """Build from a JSON descriptor {family, params, I_f: [lo, hi)}.
 
-    Unknown families and unknown keys are rejected; an explicit I_f
-    overrides the family default.
+    The one validator of nonlinearity input: unknown families, unknown keys
+    and a wrong number of parameters are rejected, and every parameter
+    (each polynomial coefficient included) must be a finite real. params is
+    an object keyed by parameter name or an array in signature order; an
+    explicit I_f overrides the family default.
     """
     if not isinstance(desc, dict):
         raise DomainError("nonlinearity descriptor must be an object")
@@ -163,23 +148,16 @@ def from_descriptor(desc: dict) -> Nonlinearity:
                           f"known: {sorted(set(_FAMILIES) - {'serrin'})}")
     ctor, argnames = _FAMILIES[family]
     params = desc.get("params", {})
-    if isinstance(params, dict):
-        extra = set(params) - set(argnames)
-        if extra:
-            raise DomainError(f"unknown parameters for {family!r}: {sorted(extra)}")
-        args, kwargs = (), params
-    elif isinstance(params, (list, tuple)):
-        args, kwargs = params, {}
-    else:
-        raise DomainError("params must be an object or an array")
-    if family != "polynomial" and not all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool)
-            for v in (*args, *kwargs.values())):
-        raise DomainError(f"parameters for {family!r} must be numbers, got {params!r}")
-    try:
-        f = ctor(*args, **kwargs)
-    except (TypeError, ValueError) as e:
-        raise DomainError(f"bad parameters for {family!r}: {e}") from None
+    if isinstance(params, (list, tuple)) and len(params) == len(argnames):
+        params = dict(zip(argnames, params))
+    if not (isinstance(params, dict) and set(params) == set(argnames)):
+        raise DomainError(f"{family!r} takes the parameters {list(argnames)}, as an "
+                          f"object or an array, got {params!r}")
+    values = params["coeffs"] if family == "polynomial" else list(params.values())
+    if not (isinstance(values, (list, tuple)) and all(map(_finite_real, values))):
+        raise DomainError(f"parameters for {family!r} must be finite numbers, "
+                          f"got {params!r}")
+    f = ctor(**params)
     if "I_f" in desc:
         bounds = desc["I_f"]
         if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
@@ -191,33 +169,25 @@ def from_descriptor(desc: dict) -> Nonlinearity:
             hi = float(hi)
         except (TypeError, ValueError):
             raise DomainError(f"I_f upper endpoint must be a number, got {hi!r}") from None
-        f = Nonlinearity(f.name, f.func, f.deriv, f.params, hi)
+        f = replace(f, sup_if=hi)
     return f
 
 
 def from_cli_spec(spec: str, sf: SpaceForm | None = None) -> Nonlinearity:
-    """Parse 'family:p1,p2' command-line specs; 'serrin' pulls (n,k) from sf."""
-    parts = spec.split(":", 1)
-    family = parts[0]
-    if family in ("serrin", "serrin_fk") and len(parts) == 1:
+    """Parse a 'family:p1,p2' command-line spec into a descriptor for
+    `from_descriptor` (polynomial's parameters are its coefficients); a bare
+    'serrin' takes (n, k) from sf."""
+    family, colon, tail = spec.partition(":")
+    if family in ("serrin", "serrin_fk") and not colon:
         if sf is None:
             raise DomainError("serrin nonlinearity needs the ambient (n, k)")
         return serrin_fk(sf.n, sf.k)
-    args = []
-    if len(parts) == 2 and parts[1]:
-        try:
-            args = [float(tok) for tok in parts[1].split(",")]
-        except ValueError:
-            raise DomainError(f"nonlinearity parameters must be numbers, got {spec!r}") from None
-    if family == "polynomial":
-        return polynomial(args)
-    if family not in _FAMILIES:
-        raise DomainError(f"unknown nonlinearity family {family!r}")
-    ctor, _ = _FAMILIES[family]
     try:
-        return ctor(*args)
-    except TypeError as e:
-        raise DomainError(f"bad parameters for {family!r}: {e}") from None
+        args = [float(tok) for tok in tail.split(",")] if tail else []
+    except ValueError:
+        raise DomainError(f"nonlinearity parameters must be numbers, got {spec!r}") from None
+    return from_descriptor({"family": family,
+                            "params": [args] if family == "polynomial" else args})
 
 
 # -- condition checks ----------------------------------------------------------
@@ -245,62 +215,53 @@ def condition_grid(f: Nonlinearity, npoints: int = DEFAULT_GRID_POINTS) -> np.nd
     return hi * 0.5 * (1.0 - np.cos(theta))
 
 
-def _first_violation(grid, values, tol):
-    bad = np.nonzero(values < -tol)[0]
+def _check(f: Nonlinearity, grid, slack_of, ok_message: str) -> ConditionResult:
+    """The frame of every condition check, on `grid` or the default grid.
+
+    slack_of(grid) returns (samples, slack, message): the first sample whose
+    slack is below -_COND_TOL is the witness, explained by message(witness).
+    An empty grid is refused, since every condition holds on it vacuously.
+    """
+    grid = condition_grid(f) if grid is None else np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise DomainError("empty condition grid")
+    samples, slack, message = slack_of(grid)
+    bad = np.nonzero(np.asarray(slack) < -_COND_TOL)[0]
     if bad.size == 0:
-        return None
-    return float(grid[bad[0]])
+        return ConditionResult(True, None, ok_message)
+    w = float(samples[bad[0]])
+    return ConditionResult(False, w, message(w))
 
 
 def check_standard_conditions(f: Nonlinearity, sf: SpaceForm,
                               grid: np.ndarray | None = None) -> ConditionResult:
     """f > 0 and f(x) >= n k x + f(0) on the grid; f(0) > 0 when k <= 0."""
-    if grid is None:
-        grid = condition_grid(f)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise DomainError("empty condition grid")
-    f0 = f(0.0)
-    if sf.k <= 0 and not f0 > 0:
-        return ConditionResult(False, 0.0, f"f(0) = {f0} is not positive (k <= 0)")
-    vals = np.array([f(x) for x in grid])
-    w = _first_violation(grid, vals, -_COND_TOL)  # need strict positivity
-    if w is not None or np.any(vals <= _COND_TOL):
-        bad = grid[np.nonzero(vals <= _COND_TOL)[0][0]]
-        return ConditionResult(False, float(bad), f"f({bad}) = {f(float(bad))} is not positive")
-    slack = vals - (sf.n * sf.k * grid + f0)
-    w = _first_violation(grid, slack, _COND_TOL)
-    if w is not None:
-        return ConditionResult(False, w, f"f({w}) < n k x + f(0) by {-(slack.min())}")
-    return ConditionResult(True, None, "standard conditions hold on the grid")
+    def slack_of(grid):
+        f0 = f(0.0)
+        if sf.k <= 0 and not f0 > 0:
+            return [0.0], [-math.inf], lambda w: f"f(0) = {f0} is not positive (k <= 0)"
+        vals = np.array([f(x) for x in grid])
+        nonpositive = vals <= _COND_TOL  # strict positivity, reported first
+        if nonpositive.any():
+            return (grid, np.where(nonpositive, -math.inf, 0.0),
+                    lambda w: f"f({w}) = {f(w)} is not positive")
+        slack = vals - (sf.n * sf.k * grid + f0)
+        return grid, slack, lambda w: f"f({w}) < n k x + f(0) by {-(slack.min())}"
+    return _check(f, grid, slack_of, "standard conditions hold on the grid")
 
 
 def check_derivative_bound(f: Nonlinearity, sf: SpaceForm,
                            grid: np.ndarray | None = None) -> ConditionResult:
     """f'(x) >= n k on the grid."""
-    if grid is None:
-        grid = condition_grid(f)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise DomainError("empty condition grid")
-    dv = np.array([f.d(x) for x in grid])
-    slack = dv - sf.n * sf.k
-    w = _first_violation(grid, slack, _COND_TOL)
-    if w is not None:
-        return ConditionResult(False, w, f"f'({w}) = {f.d(w)} < n k = {sf.n * sf.k}")
-    return ConditionResult(True, None, "f' >= n k on the grid")
+    nk = sf.n * sf.k
+    return _check(f, grid, lambda grid: (
+        grid, np.array([f.d(x) for x in grid]) - nk,
+        lambda w: f"f'({w}) = {f.d(w)} < n k = {nk}"), "f' >= n k on the grid")
 
 
 def check_tau_monotonicity_condition(f: Nonlinearity,
                                      grid: np.ndarray | None = None) -> ConditionResult:
     """f(x) >= x f'(x) on the grid."""
-    if grid is None:
-        grid = condition_grid(f)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise DomainError("empty condition grid")
-    slack = np.array([f(x) - x * f.d(x) for x in grid])
-    w = _first_violation(grid, slack, _COND_TOL)
-    if w is not None:
-        return ConditionResult(False, w, f"f(x) < x f'(x) at x = {w}")
-    return ConditionResult(True, None, "f >= x f' on the grid")
+    return _check(f, grid, lambda grid: (
+        grid, np.array([f(x) - x * f.d(x) for x in grid]),
+        lambda w: f"f(x) < x f'(x) at x = {w}"), "f >= x f' on the grid")

@@ -33,7 +33,7 @@ def _jsonify(obj):
             return "nan"
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
-        return float(fmt(v))
+        return v
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):

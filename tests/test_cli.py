@@ -1,13 +1,18 @@
 import ast
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import radcomp
 from radcomp.cli import main
@@ -38,6 +43,17 @@ def test_fmt_pinned_values():
              (True, "true"), (False, "false"), (7, "7"), (np.int64(-3), "-3"), (None, "")]
     for x, text in cases:
         assert fmt(x) == text, x
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)                    # smallest subnormal
+@example(-2.225073858507201e-308)  # largest subnormal, negated
+@example(1.7976931348623157e308)
+def test_fmt_round_trips_finite_floats_bitwise(x):
+    """'%.17g' gives back every finite binary64 bit for bit, so JSON output
+    can print floats as they are."""
+    assert struct.pack("<d", float(fmt(x))) == struct.pack("<d", x)
 
 
 def test_profile_subcommand(tmp_path, capsys):
@@ -209,6 +225,12 @@ MALFORMED = {  # id: (arguments, contents of a --config file or None)
     "config-params-not-numbers": (PROFILE, {"f": {"family": "lane_emden", "params": {"p": "x"}}}),
     "config-n-not-integer": (PROFILE, {"n": "three"}),
     "config-M-not-number": (PROFILE, {"M": "big"}),
+    "f-params-not-finite": (PROFILE[:6] + ["affine:nan,1"] + PROFILE[7:], None),
+    "f-params-infinite": (PROFILE[:6] + ["constant:inf"] + PROFILE[7:], None),
+    "config-polynomial-coeffs-string": (PROFILE, {"f": {"family": "polynomial",
+                                                        "params": {"coeffs": "12"}}}),
+    "config-polynomial-coeffs-bool": (PROFILE, {"f": {"family": "polynomial",
+                                                      "params": {"coeffs": [True, 2]}}}),
     "n-not-integer": (PROFILE[:2] + ["abc"] + PROFILE[3:], None),
     "n-missing": (PROFILE[:1] + PROFILE[3:], None),
 }
@@ -318,6 +340,30 @@ def test_no_unused_module_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused
+
+
+def test_defaulted_parameters_do_not_grow():
+    """Knob ratchet: the parameters with a default value, over every function
+    and method defined in a module of the package (dataclass __init__
+    included, exception classes and __main__ left out). A new default is an
+    option to test and benchmark, so raising the bound is a deliberate edit."""
+    count = 0
+    for info in pkgutil.iter_modules(radcomp.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"radcomp.{info.name}")
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                fns = [obj]
+            elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+                fns = [m for m in vars(obj).values() if inspect.isfunction(m)]
+            else:
+                continue
+            count += sum(p.default is not p.empty for fn in fns
+                         for p in inspect.signature(fn).parameters.values())
+    assert count <= 50
 
 
 def test_no_module_imports_scipy():

@@ -74,7 +74,7 @@ def test_degree_one_reduces_to_radial(m, t, q):
     assert iso.s_minus == pytest.approx(prof.r_minus, abs=1e-10)
     assert iso.s_plus == pytest.approx(prof.r_plus, abs=1e-10)
     for s in np.linspace(iso.s_minus, iso.s_plus, 31):
-        assert abs(iso.z(s) - prof.u(s)) < 1e-8
+        assert abs(iso.profile.u(s) - prof.u(s)) < 1e-8
 
 
 def test_band_profile_and_admissibility():
@@ -86,12 +86,12 @@ def test_band_profile_and_admissibility():
     assert iso.admissible
     # derivative changes sign only at the core leaf
     ss = np.linspace(iso.s_minus + 1e-4, iso.s_plus - 1e-4, 101)
-    dz = np.array([iso.dz(s) for s in ss])
+    dz = np.array([iso.profile.du(s) for s in ss])
     assert np.all(dz[ss < math.pi / 4 - 1e-3] > 0)
     assert np.all(dz[ss > math.pi / 4 + 1e-3] < 0)
     # boundary gradients are finite and nonzero (the extremal property)
-    assert abs(iso.dz(iso.s_minus)) > 1e-3
-    assert abs(iso.dz(iso.s_plus)) > 1e-3
+    assert abs(iso.profile.du(iso.s_minus)) > 1e-3
+    assert abs(iso.profile.du(iso.s_plus)) > 1e-3
 
 
 def test_focal_cap_startups():
@@ -102,12 +102,12 @@ def test_focal_cap_startups():
     assert cap.s_minus is None and cap.s_plus is not None
     # Taylor startup slope: Z'(eps) = -f(M) eps / (1 + b1), b1 = m1 = 1
     eps = 2e-6
-    assert cap.dz(eps) == pytest.approx(-1.0 * eps / 2.0, rel=1e-4)
+    assert cap.profile.du(eps) == pytest.approx(-1.0 * eps / 2.0, rel=1e-4)
 
     far = solve_iso_profile(fam, f, fam.s_max, 0.1)
     assert far.domain == "focal-cap-minus"
     assert far.s_plus is None and far.s_minus is not None
-    assert far.z(fam.s_max) == pytest.approx(0.1)
+    assert far.profile.u(fam.s_max) == pytest.approx(0.1)
 
 
 def test_reflection_symmetry_balanced_family():
@@ -117,7 +117,7 @@ def test_reflection_symmetry_balanced_family():
     a = solve_iso_profile(fam, f, S, 0.08)
     b = solve_iso_profile(fam, f, fam.s_max - S, 0.08)
     for s in np.linspace(a.s_minus, a.s_plus, 25):
-        assert abs(a.z(s) - b.z(fam.s_max - s)) < 1e-8
+        assert abs(a.profile.u(s) - b.profile.u(fam.s_max - s)) < 1e-8
 
 
 def test_iso_ode_residual():

@@ -23,10 +23,15 @@ def test_builtin_values():
     assert polynomial([1.0, 0.0, 2.0])(3.0) == pytest.approx(1 + 18.0)
 
 
-def test_validate_invariants():
+def test_family_derivatives_match_central_differences():
+    """Every built-in family's f' agrees with central differences of f to
+    1e-6 max(1, |f'|) across its condition grid."""
     for f in (serrin_fk(3, 1.0), affine(-0.25, 2.5), lane_emden(2.0),
               allen_cahn(3.0), bratu(0.5), constant(2.0), polynomial([1, 1, 1])):
-        f.validate()
+        for x in condition_grid(f, npoints=257)[1:-1:16]:
+            h = 1e-6 * max(1.0, abs(x))
+            fd = (f(x + h) - f(x - h)) / (2.0 * h)
+            assert abs(fd - f.d(x)) <= 1e-6 * max(1.0, abs(f.d(x))), (f.name, x)
 
 
 def test_standard_conditions_serrin_always():
@@ -132,9 +137,3 @@ def test_cli_spec_parsing():
         from_cli_spec("mystery:1")
     with pytest.raises(DomainError):
         from_cli_spec("serrin")  # needs the ambient data
-
-
-def test_fd_fallback():
-    f = polynomial([0.0, 0.0, 1.0])  # x^2 with known derivative stripped
-    g = f.__class__(f.name, f.func, None, f.params, f.sup_if)
-    assert g.d(1.5) == pytest.approx(3.0, rel=1e-8)

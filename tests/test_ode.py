@@ -593,9 +593,10 @@ def test_descending_leg_from_the_far_pole_locates_its_zero():
 
 
 @pytest.mark.parametrize("f", [
-    Nonlinearity("cut", lambda x: 1.0 if x > 0.5 else math.nan),  # nan below U = 1/2
+    Nonlinearity("cut", lambda x: 1.0 if x > 0.5 else math.nan,  # nan below U = 1/2
+                 lambda x: 0.0 if x > 0.5 else math.nan),
     allen_cahn(2.5),  # complex powers of negative U in the stage that crosses zero
-    Nonlinearity("nan", lambda x: math.nan),  # no finite start at all
+    Nonlinearity("nan", lambda x: math.nan, lambda x: math.nan),  # no finite start at all
 ], ids=["nan-below", "complex", "nan"])
 def test_step_size_underflow_raises_step_failure(f):
     """Every trial step that reaches where f is not real is rejected, until

@@ -135,7 +135,8 @@ def from_descriptor(desc: dict) -> Nonlinearity:
     and a wrong number of parameters are rejected, and every parameter
     (each polynomial coefficient included) must be a finite real. params is
     an object keyed by parameter name or an array in signature order; an
-    explicit I_f overrides the family default.
+    explicit I_f, [0, hi] with hi a finite real or +inf, overrides the
+    family default.
     """
     if not isinstance(desc, dict):
         raise DomainError("nonlinearity descriptor must be an object")
@@ -163,13 +164,12 @@ def from_descriptor(desc: dict) -> Nonlinearity:
         if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
             raise DomainError(f"I_f must be a pair [0, hi], got {bounds!r}")
         lo, hi = bounds
-        if lo != 0:
-            raise DomainError("I_f must have 0 as its lower endpoint")
-        try:
-            hi = float(hi)
-        except (TypeError, ValueError):
-            raise DomainError(f"I_f upper endpoint must be a number, got {hi!r}") from None
-        f = replace(f, sup_if=hi)
+        if not (_finite_real(lo) and lo == 0):
+            raise DomainError(f"I_f must have 0 as its lower endpoint, got {lo!r}")
+        if not (_finite_real(hi) or hi == math.inf):
+            raise DomainError(f"I_f upper endpoint must be a finite number or +inf, "
+                              f"got {hi!r}")
+        f = replace(f, sup_if=float(hi))
     return f
 
 

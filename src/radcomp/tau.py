@@ -18,7 +18,8 @@ from .ode import CauchyData, SolveOptions, solve_profile
 from .spaceform import SpaceForm
 
 _GAP_WIDTH_TOL = 1e-8  # tail limits closer than this report a one-point gap
-_FLAT_FIT_TOL = 1e-4   # the same for the 1/R fits of the flat torsion tails
+_FLAT_FIT_TOL = 1e-4   # the same, and the largest error estimate, for the flat tails
+_FLAT_ROWS = 6         # annular rows of each flat tail's extrapolation in 1/R
 
 
 @dataclass
@@ -117,6 +118,14 @@ def tau_scan(sf: SpaceForm, f: Nonlinearity, M: float, R_grid,
 
 # -- gap estimation ----------------------------------------------------------------
 
+def _median(vals):
+    """np.median's value in plain floats: the middle of the sorted values, or
+    the mean of the two middle ones."""
+    s = sorted(vals)
+    h = len(s) // 2
+    return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
+
+
 def _tail_average(vals):
     """Average of the trailing tenth (at least 3 values) after checking the
     tail has settled: the last increment must not exceed 4 times the median
@@ -124,7 +133,7 @@ def _tail_average(vals):
     m = max(3, int(math.ceil(0.10 * len(vals))))
     tail = vals[-m:]
     inc = np.abs(np.diff(vals))
-    if len(inc) >= 4 and not (inc[-1] <= 4.0 * np.median(inc[-4:]) + 1e-15):
+    if len(inc) >= 4 and not (inc[-1] <= 4.0 * _median(inc[-4:].tolist()) + 1e-15):
         raise InsufficientRange("tau tail has not settled; extend the R grid")
     if len(inc) and inc[-1] > 1e-3 * max(1.0, abs(tail[-1])):
         raise InsufficientRange(
@@ -133,11 +142,27 @@ def _tail_average(vals):
 
 
 def _inverse_r_extrapolation(R, vals):
-    """Cubic fit in 1/R over the last 10 rows; returns the constant term."""
-    m = min(len(vals), 10)
-    x = 1.0 / np.asarray(R[-m:], dtype=float)
-    co = np.polyfit(x, np.asarray(vals[-m:], dtype=float), 3)
-    return float(co[-1])
+    """Limit at R = inf of samples that are smooth in 1/R, and its error estimate.
+
+    Neville's algorithm (Richardson extrapolation) in x = 1/R to x = 0 on the
+    last _FLAT_ROWS radii, in plain floats and one fixed order of operations.
+    The extrapolant of degree d interpolates the d + 1 largest radii; its
+    error estimate is its difference from the degree d - 1 extrapolant, and
+    the degree with the smallest estimate gives (limit, estimate).
+    """
+    # Neville needs distinct radii; a repeated radius repeats its row (the
+    # solve is deterministic), so each radius is used once
+    last = list(dict(zip(R.tolist(), vals.tolist())).items())[-_FLAT_ROWS:][::-1]
+    x = [1.0 / r for r, _ in last]  # largest radius first
+    p = [v for _, v in last]
+    limit, err = p[0], math.inf
+    for d in range(1, len(x)):
+        prev = p[0]
+        for i in range(len(x) - d):  # p[i] becomes the extrapolant on rows i..i+d
+            p[i] = (x[i + d] * p[i] - x[i] * p[i + 1]) / (x[i + d] - x[i])
+        if abs(p[0] - prev) < err:
+            limit, err = p[0], abs(p[0] - prev)
+    return limit, err
 
 
 def gap_estimate(table: TauTable) -> GapEstimate:
@@ -145,11 +170,12 @@ def gap_estimate(table: TauTable) -> GapEstimate:
 
     k > 0: the two curves meet (reflection symmetry), gap is empty.
     k = 0 with the torsion-type nonlinearity: both tails converge to the same
-    value n algebraically (~1/R); each curve is extrapolated by a cubic in 1/R
-    and the gap collapses to a point when the two limits agree to 1e-4, with
-    the limit n and each fit's offset from it always attached as
-    `asymptote_data["prediction"]`. Fits whose plus limit exceeds the minus
-    limit by more than 1e-4 raise InsufficientRange.
+    value n algebraically (~1/R); each curve is extrapolated to 1/R = 0 by
+    Neville's algorithm on its last six rows, and the gap collapses to a point
+    when the two limits agree to 1e-4, with each extrapolation's error
+    estimate, and the limit n and each extrapolant's offset from it, attached
+    to `asymptote_data`. An error estimate above 1e-4, or a plus limit above
+    the minus limit by more than 1e-4, raises InsufficientRange.
     k < 0: the tails converge exponentially; the gap is the interval between
     the tail averages, a point when they agree to 1e-8; for the torsion-type
     nonlinearity at k = -1 the limit-profile prediction is always attached
@@ -187,18 +213,22 @@ def gap_estimate(table: TauTable) -> GapEstimate:
 
     if k == 0 and serrin_like:
         Rm = Rv[has_minus]
-        # the limits bound the monotone samples: clamp the fits accordingly
-        lp = max(_inverse_r_extrapolation(Rm, tp[has_minus]), adm_plus[1])
-        lm = min(_inverse_r_extrapolation(Rm, tm[has_minus]), adm_minus[0])
+        lp, ep = _inverse_r_extrapolation(Rm, tp[has_minus])
+        lm, em = _inverse_r_extrapolation(Rm, tm[has_minus])
+        # the limits bound the monotone samples: clamp the extrapolants accordingly
+        lp, lm = max(lp, adm_plus[1]), min(lm, adm_minus[0])
         width = lm - lp
         data = {"R_max": float(Rm[-1]), "tau_plus_limit": lp, "tau_minus_limit": lm,
-                "width": width}
+                "width": width, "tau_plus_error": ep, "tau_minus_error": em}
         n = table.sf.n  # the closed-form limit of both tails
-        if width < -_FLAT_FIT_TOL:
+        if max(ep, em) > _FLAT_FIT_TOL or width < -_FLAT_FIT_TOL:
+            problem = (f"error estimates {ep} and {em} exceed {_FLAT_FIT_TOL}"
+                       if max(ep, em) > _FLAT_FIT_TOL else
+                       f"plus limit {lp} exceeds minus limit {lm}")
             raise InsufficientRange(
-                f"tau tail fits disagree: plus limit {lp} exceeds minus limit {lm}; "
-                f"extend the R grid (both tails tend to the closed-form limit n = {n}; "
-                f"the fits are off by {lp - n} and {lm - n})")
+                f"tau tail extrapolation: {problem}; extend the R grid "
+                f"(both tails tend to the closed-form limit n = {n}; "
+                f"the extrapolants are off by {lp - n} and {lm - n})")
         data["prediction"] = {"limit": n, "plus_offset": lp - n, "minus_offset": lm - n}
         adm = _merge([adm_plus[0], max(adm_plus[1], lp)],
                      [min(adm_minus[0], lm), adm_minus[1]])

@@ -222,6 +222,16 @@ MALFORMED = {  # id: (arguments, contents of a --config file or None)
     "selftest-criterion-not-integer": (["selftest", "--only", "a"], None),
     "config-params-arity": (PROFILE, {"f": {"family": "affine", "params": [1.0]}}),
     "config-I_f-arity": (PROFILE, {"f": {"family": "constant", "params": [1.0], "I_f": [0]}}),
+    "config-I_f-lower-bool": (PROFILE, {"f": {"family": "constant", "params": [1.0],
+                                              "I_f": [False, 2.0]}}),
+    "config-I_f-upper-nan": (PROFILE, {"f": {"family": "constant", "params": [1.0],
+                                             "I_f": [0, math.nan]}}),
+    "config-I_f-upper-nan-string": (PROFILE, {"f": {"family": "constant", "params": [1.0],
+                                                    "I_f": [0, "nan"]}}),
+    "config-I_f-upper-bool": (PROFILE, {"f": {"family": "constant", "params": [1.0],
+                                              "I_f": [0, True]}}),
+    "config-I_f-upper-string": (PROFILE, {"f": {"family": "constant", "params": [1.0],
+                                                "I_f": [0, "2.5"]}}),
     "config-params-not-numbers": (PROFILE, {"f": {"family": "lane_emden", "params": {"p": "x"}}}),
     "config-n-not-integer": (PROFILE, {"n": "three"}),
     "config-M-not-number": (PROFILE, {"M": "big"}),
@@ -383,6 +393,19 @@ def test_no_module_imports_scipy():
     assert not found
 
 
+def test_no_module_calls_lapack_or_numpy_ma():
+    """No module of the package refers to np.linalg (LAPACK) or to the numpy
+    functions whose first call starts LAPACK or imports numpy.ma."""
+    banned = {"linalg", "polyfit", "median", "percentile", "quantile"}
+    found = []
+    for path in sorted(Path(radcomp.__file__).resolve().parent.glob("*.py")):
+        found += [f"{path.name}:{node.lineno} np.{node.attr}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr in banned
+                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    assert not found
+
+
 CLI_MODULES = """
 import sys
 from radcomp.cli import main
@@ -431,6 +454,38 @@ def test_shooting_and_gap_leave_out_scipy():
     assert res.stdout.splitlines() == ["[]", "True False"]
 
 
+COLD_GAP = """
+import sys
+import numpy as np
+import radcomp
+
+def refuse(*args, **kwargs):
+    raise AssertionError("numpy.linalg.lstsq called")
+
+original = np.linalg.lstsq  # replaced also where numpy's modules bound it by name
+for module in list(sys.modules.values()):
+    if getattr(module, "lstsq", None) is original:
+        module.lstsq = refuse
+for k, grid in ((-1.0, np.concatenate([[0.0], np.linspace(0.5, 11.0, 12)])),
+                (0.0, np.concatenate([[0.0], np.linspace(0.5, 4.0, 6), np.linspace(5.0, 50.0, 16)])),
+                (1.0, np.linspace(0.0, 2.9, 13))):
+    sf = radcomp.SpaceForm(3, k)
+    f = radcomp.serrin_fk(3, k)
+    radcomp.gap_estimate(radcomp.tau_scan(sf, f, 0.25 if k < 0 else 1.0, grid))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_tau_scan_and_gap_leave_out_lapack_and_numpy_ma():
+    """Tau scans and gap estimates at k = -1, 0 and 1 for the torsion-type
+    nonlinearity never reach a least-squares solve and do not import numpy.ma:
+    the tail extrapolation and the median are plain-float arithmetic."""
+    res = subprocess.run([sys.executable, "-c", COLD_GAP], capture_output=True,
+                         text=True, env=child_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["False"]
+
+
 def test_failing_hypothesis_test_reports_its_example(tmp_path, pytestconfig):
     """Under this suite's warning filters a failing property test prints its
     falsifying example, not an INTERNALERROR from hypothesis's report hook."""
@@ -453,11 +508,13 @@ def test_failing_hypothesis_test_reports_its_example(tmp_path, pytestconfig):
 @pytest.mark.parametrize("args", [
     ["profile", "--n", "3", "--k", "-1", "--f", "serrin", "--R", "1.5", "--M", "0.25"],
     ["iso", "--ell", "2", "--m1", "1", "--m2", "1", "--n", "3", "--f", "constant:1",
-     "--S", "0.7854", "--M", "0.1"]])
+     "--S", "0.7854", "--M", "0.1"],
+    ["gap", "--n", "3", "--k", "0", "--f", "serrin", "--M", "1.0"]])
 def test_csv_bytes_do_not_depend_on_the_blas_kernel(args):
     """OpenBLAS built for several CPUs picks its kernels at run time; the
-    printed profile must not change when another kernel is forced. A BLAS
-    without that choice ignores the variable."""
+    printed profile, and the flat gap extrapolated from a tau scan, must not
+    change when another kernel is forced. A BLAS without that choice ignores
+    the variable."""
     env = child_env()
     outputs = []
     for forced in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):

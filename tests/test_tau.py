@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from radcomp import (CauchyData, SolveOptions, SpaceForm, constant,
                      serrin_fk, solve_profile, tau_scan)
 from radcomp.errors import DomainError, InsufficientRange
 from radcomp.output import tau_csv_lines
+from radcomp.tau import TauRow, TauTable, _inverse_r_extrapolation, _median
 
 M_TILDE = math.cosh(3.0) - 1.0
 
@@ -133,14 +135,98 @@ def test_gap_insufficient_range():
         gap_estimate(table)
 
 
-def test_flat_gap_refuses_disagreeing_tail_fits():
-    """A short k = 0 grid whose cubic tail fits put the plus limit above the
-    minus limit: refused, where an inverted interval used to be returned."""
+def test_flat_gap_answers_a_grid_the_cubic_fit_refused():
+    """A k = 0 grid shaped like the benchmark's scan inputs, on which the
+    former least-squares cubic in 1/R put the plus limit above the minus
+    limit: the extrapolation gives a one-point gap within 1e-4 of n = 4."""
     sf = SpaceForm(4, 0.0)
     grid = np.concatenate([[0.0], np.geomspace(0.46777640403385373, 46.68821753297772, 11)])
-    table = tau_scan(sf, serrin_fk(4, 0.0), 0.5274190798783935, grid)
-    with pytest.raises(InsufficientRange, match="extend the R grid.*limit n = 4"):
+    est = gap_estimate(tau_scan(sf, serrin_fk(4, 0.0), 0.5274190798783935, grid))
+    assert est.method == "single-point" and len(est.gap) == 1
+    assert abs(est.gap[0] - 4) <= 1e-4
+    data = est.asymptote_data
+    assert max(data["tau_plus_error"], data["tau_minus_error"]) <= 1e-4
+    assert data["tau_plus_limit"] <= data["tau_minus_limit"]
+
+
+def test_flat_gap_refuses_a_short_grid():
+    """Radii up to 5 are far from the 1/R asymptote: the extrapolations'
+    error estimates exceed 1e-4 and the gap is refused."""
+    sf = SpaceForm(3, 0.0)
+    grid = np.concatenate([[0.0], np.linspace(0.5, 5.0, 11)])
+    table = tau_scan(sf, serrin_fk(3, 0.0), 1.0, grid)
+    with pytest.raises(InsufficientRange, match="error estimates.*extend the R grid.*limit n = 3"):
         gap_estimate(table)
+
+
+def test_flat_gap_ignores_repeated_radii():
+    """A radius listed twice gives the same row twice; the extrapolation,
+    which needs distinct radii, uses it once."""
+    sf, f = SpaceForm(2, 0.0), serrin_fk(2, 0.0)
+    grid = np.concatenate([[0.0], np.geomspace(0.5, 40.0, 11)])
+    once = gap_estimate(tau_scan(sf, f, 1.0, grid))
+    twice = gap_estimate(tau_scan(sf, f, 1.0, np.repeat(grid, 2)))
+    assert (twice.gap, twice.asymptote_data) == (once.gap, once.asymptote_data)
+
+
+def test_flat_gap_refuses_crossed_limits():
+    """Settled tails whose plus limit lies above the minus limit are refused,
+    not returned as an inverted interval."""
+    sf = SpaceForm(2, 0.0)
+    rows = [TauRow(R=R, tau_plus=2.001, tau_minus=1.999, ok=True) for R in range(10, 70, 10)]
+    table = TauTable(sf=sf, f=serrin_fk(2, 0.0), M=1.0, c_norm=1.0, rows=rows)
+    with pytest.raises(InsufficientRange, match="plus limit 2.00.* exceeds minus limit 1.99"):
+        gap_estimate(table)
+
+
+@given(u=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), limit=st.floats(-5.0, 5.0),
+       coeffs=st.lists(st.floats(0.0, 10.0), max_size=5), sign=st.sampled_from([-1.0, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_inverse_r_extrapolation_on_polynomials(u, limit, coeffs, sign):
+    """Samples that are a polynomial in 1/R, on the last six rows of a
+    geometric grid like the benchmark's: of degree <= 4 they extrapolate to
+    the constant term to rounding, and of degree 5 the error estimate bounds
+    the error. The terms share one sign, as in a monotone tail; with mixed
+    signs a difference of extrapolants can vanish by coincidence and the
+    smallest-estimate rule can then pick a wrong degree."""
+    R = np.geomspace(0.3 + 0.5 * u[0], 30.0 + 20.0 * u[1], 11)
+    vals = np.array([limit + sum(sign * c * r ** -(j + 1) for j, c in enumerate(coeffs))
+                     for r in R])
+    value, err = _inverse_r_extrapolation(R, vals)
+    if len(coeffs) <= 4:
+        assert abs(value - limit) <= 1e-13 and err <= 1e-13
+    else:
+        assert abs(value - limit) <= err + 1e-13
+
+
+@given(n=st.integers(2, 4), u=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                                        st.floats(0.0, 1.0)))
+@settings(max_examples=20, deadline=None)
+def test_flat_gap_on_scan_like_grids(n, u):
+    """On geometric k = 0 grids like the benchmark's (R_max in [30, 50]) the
+    torsion-type gap is one point within 1e-4 of the closed-form limit n,
+    with ordered admissible intervals and both error estimates within 1e-4;
+    the only refusal is an error estimate above 1e-4 (large M, short grid)."""
+    M, grid = scan_like_grid(n, 0.0, u)
+    table = tau_scan(SpaceForm(n, 0.0), serrin_fk(n, 0.0), M, grid)
+    try:
+        est = gap_estimate(table)
+    except InsufficientRange as exc:
+        assert "error estimates" in str(exc)
+        return
+    assert est.method == "single-point" and len(est.gap) == 1
+    assert abs(est.gap[0] - n) <= 1e-4
+    for lo, hi in est.adm:
+        assert lo <= hi
+    data = est.asymptote_data
+    assert max(data["tau_plus_error"], data["tau_minus_error"]) <= 1e-4
+
+
+@given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=8))
+def test_median_is_numpys_bitwise(vals):
+    """The tail check's plain-float median is the value np.median returns."""
+    expected = float(np.median(vals))
+    assert struct.pack("<d", _median(vals)) == struct.pack("<d", expected)
 
 
 def test_single_point_gap_flat():

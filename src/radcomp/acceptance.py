@@ -427,18 +427,10 @@ def run_one(number: int, outdir=None) -> CriterionResult:
 
 
 def run_all(outdir=None, only=None) -> list[CriterionResult]:
-    """Run the criteria numbered in `only` (a list, or a comma-separated
-    string), or all of them; unknown numbers are refused before any runs."""
+    """Run the criteria numbered in the list `only`, or all of them; unknown
+    numbers are refused before any runs."""
     known = [num for num, _, _ in _CRITERIA]
-    if not only:
-        numbers = known
-    elif isinstance(only, str):
-        try:
-            numbers = [int(tok) for tok in only.split(",")]
-        except ValueError:
-            raise DomainError(f"criterion numbers must be integers, got {only!r}") from None
-    else:
-        numbers = list(only)
+    numbers = list(only) if only else known
     unknown = [num for num in numbers if num not in known]
     if unknown:
         raise DomainError(f"no criterion {unknown[0]}; the criteria are 1-{len(known)}")

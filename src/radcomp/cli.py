@@ -10,6 +10,7 @@ command line and in a --config file alike.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from . import acceptance, output
 from .bounds import ComparisonPair, bound_report, mu_sign_scan
 from .errors import DomainError, NumericalError, RadcompError
 from .isoparametric import IsoparametricFamily, solve_iso_profile
-from .nonlinearity import from_cli_spec, from_descriptor
+from .nonlinearity import affine, from_cli_spec, from_descriptor
 from .ode import CauchyData, SolveOptions, solve_profile
 from .spaceform import SpaceForm
 from .tau import figure_gap_curve, gap_estimate, tau_scan
@@ -79,12 +80,12 @@ def _count(text: str) -> int:
     return count
 
 
-def _dims(text: str) -> list:
-    """Comma-separated dimensions."""
+def _ints(text: str) -> list:
+    """Comma-separated integers."""
     try:
         return [int(tok) for tok in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"dimensions must be comma-separated integers, "
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, "
                                          f"got {text!r}") from None
 
 
@@ -189,10 +190,7 @@ def cmd_mu_check(args):
     report = {}
     for sign in (("plus", "minus") if prof.r_minus is not None else ("plus",)):
         pair = ComparisonPair(prof, sign)
-        scan = mu_sign_scan(pair, npoints=args.grid)
-        report[sign] = {"min_mu": scan.min_mu, "argmin": scan.argmin,
-                        "all_nonnegative": scan.all_nonnegative,
-                        "grid_size": scan.grid_size, "tol": scan.tol}
+        report[sign] = dataclasses.asdict(mu_sign_scan(pair, npoints=args.grid))
     _emit(report, args.json, as_json=True)
     return 0
 
@@ -242,9 +240,9 @@ def cmd_fig_mu(args):
     }
     sf = SpaceForm(3, 1.0)
     for name, cfg in panels.items():
+        f = affine(cfg["lam"], cfg["beta"])
         rows = []
         for R in cfg["R"]:
-            f = from_cli_spec(f"affine:{cfg['lam']},{cfg['beta']}")
             prof = solve_profile(sf, f, CauchyData(R, cfg["M"]), opts)
             for sign in (("plus", "minus") if prof.r_minus is not None else ("plus",)):
                 scan = mu_sign_scan(ComparisonPair(prof, sign))
@@ -337,7 +335,7 @@ def build_parser():
     sp.add_argument("--json", default=None)
 
     sp = command("fig-gap", cmd_fig_gap, "boundary-derivative-sum curves (k = -1)")
-    sp.add_argument("--n", type=_dims, default="2,3,4", help="comma-separated dimensions")
+    sp.add_argument("--n", type=_ints, default="2,3,4", help="comma-separated dimensions")
     sp.add_argument("--r-grid", type=_grid, default=None)
     sp.add_argument("--outdir", default="fig_gap")
     solver(sp)
@@ -348,7 +346,7 @@ def build_parser():
 
     sp = command("selftest", cmd_selftest, "run the acceptance suite")
     sp.add_argument("--outdir", default=None, help="directory for CSV artifacts")
-    sp.add_argument("--only", default=None,
+    sp.add_argument("--only", type=_ints, default=None,
                     help="comma-separated criterion numbers to run")
     return p
 

@@ -11,7 +11,6 @@ pole residue.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,6 +19,8 @@ from .nonlinearity import Nonlinearity
 from .ode import CauchyData, ModelProfile, SolveOptions, solve_generic
 
 _ALLOWED_DEGREES = (1, 2, 3, 4, 6)
+# the multiplicities that degrees 3 (Cartan) and 6 (Abresch) allow, with m1 = m2
+_MULTIPLICITIES = {3: (1, 2, 4, 8), 6: (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -36,13 +37,15 @@ class IsoparametricFamily:
             raise DomainError("multiplicities must be positive integers")
         if self.ell % 2 == 1 and self.m1 != self.m2:
             raise DomainError("odd degree requires equal multiplicities")
+        allowed = _MULTIPLICITIES.get(self.ell, ())
+        if allowed and not (self.m1 == self.m2 and self.m1 in allowed):
+            raise DomainError(f"degree {self.ell} needs equal multiplicities in {allowed}, "
+                              f"got {self.m1} and {self.m2}")
         if self.n < 2:
             raise DomainError("ambient dimension must be >= 2")
-        if 2 * (self.n - 1) != self.ell * (self.m1 + self.m2):
-            warnings.warn(
-                f"dimension bookkeeping off: n-1 = {self.n - 1} but "
-                f"ell (m1+m2)/2 = {self.ell * (self.m1 + self.m2) / 2}",
-                stacklevel=2)
+        if 2 * (self.n - 1) != self.ell * (self.m1 + self.m2):  # Muenzner
+            raise DomainError(f"dimension bookkeeping off: n-1 = {self.n - 1} but "
+                              f"ell (m1+m2)/2 = {self.ell * (self.m1 + self.m2) / 2}")
 
     @property
     def c(self) -> float:

@@ -152,7 +152,7 @@ def _inverse_r_extrapolation(R, vals):
     """
     # Neville needs distinct radii; a repeated radius repeats its row (the
     # solve is deterministic), so each radius is used once
-    last = list(dict(zip(R.tolist(), vals.tolist())).items())[-_FLAT_ROWS:][::-1]
+    last = list(dict(zip(R, vals)).items())[-_FLAT_ROWS:][::-1]
     x = [1.0 / r for r, _ in last]  # largest radius first
     p = [v for _, v in last]
     limit, err = p[0], math.inf
@@ -168,100 +168,87 @@ def _inverse_r_extrapolation(R, vals):
 def gap_estimate(table: TauTable) -> GapEstimate:
     """Admissible set and gap from a sampled tau table.
 
-    k > 0: the two curves meet (reflection symmetry), gap is empty.
-    k = 0 with the torsion-type nonlinearity: both tails converge to the same
-    value n algebraically (~1/R); each curve is extrapolated to 1/R = 0 by
-    Neville's algorithm on its last six rows, and the gap collapses to a point
-    when the two limits agree to 1e-4, with each extrapolation's error
-    estimate, and the limit n and each extrapolant's offset from it, attached
-    to `asymptote_data`. An error estimate above 1e-4, or a plus limit above
-    the minus limit by more than 1e-4, raises InsufficientRange.
-    k < 0: the tails converge exponentially; the gap is the interval between
-    the tail averages, a point when they agree to 1e-8; for the torsion-type
-    nonlinearity at k = -1 the limit-profile prediction is always attached
-    as `asymptote_data["vinfty"]`.
+    k > 0: the two curves meet (reflection symmetry), gap is empty, and the
+    admissible set is the union of the two sampled images.
+    k <= 0: each curve's tail limit comes from its annular rows, sorted by R.
+    - k = 0 with the torsion-type nonlinearity: both tails converge to the
+      same value n algebraically (~1/R); each curve is extrapolated to
+      1/R = 0 by Neville's algorithm on its last six rows, with tolerance
+      1e-4. Each extrapolation's error estimate, and the limit n and each
+      extrapolant's offset from it, go to `asymptote_data`. An error
+      estimate above 1e-4, or a plus limit above the minus limit by more
+      than 1e-4, raises InsufficientRange.
+    - k < 0 (and k = 0 with another nonlinearity): the tails settle, and
+      each limit is its tail average, with tolerance 1e-8. For the
+      torsion-type nonlinearity at k = -1 the limit-profile prediction is
+      attached as `asymptote_data["vinfty"]`.
+    One shared step follows. Each limit is clamped to its curve's sampled
+    image (lp >= max tau_plus, lm <= min tau_minus). When lm - lp exceeds
+    the tolerance, the gap is [lp, lm] and `adm` is [min tau_plus, lp] and
+    [lm, max tau_minus]. Otherwise the gap is the point g = (lp + lm) / 2,
+    and `adm` is [min tau_plus, min(lp, g)] and [max(lm, g), max tau_minus];
+    when these touch, they are returned as [min tau_plus, g] and
+    [g, max tau_minus], so no admissible interval holds g inside.
     """
-    rows = table.ok_rows
+    rows = sorted(table.ok_rows, key=lambda row: row.R)
     if not rows:
         raise NumericalError("tau table has no successful rows")
-    k = table.sf.k
-    Rv = np.array([row.R for row in rows])
-    order = np.argsort(Rv)
-    Rv = Rv[order]
-    tp = np.array([row.tau_plus for row in rows])[order]
-    tm = np.array([row.tau_minus for row in rows])[order]
-    has_minus = np.isfinite(tm)
-
-    tp_f = tp[np.isfinite(tp)]
-    adm_plus = [float(tp_f.min()), float(tp_f.max())]
-    if has_minus.any():
-        tm_f = tm[has_minus]
-        adm_minus = [float(tm_f.min()), float(tm_f.max())]
-    else:
-        adm_minus = None
-
-    if k > 0:
-        adm = [adm_plus] if adm_minus is None else _merge(adm_plus, adm_minus)
+    sf, f = table.sf, table.f
+    annular = [row for row in rows if math.isfinite(row.tau_minus)]  # R > 0
+    tp = [row.tau_plus for row in rows if math.isfinite(row.tau_plus)]
+    tm = [row.tau_minus for row in annular]
+    # each curve's sampled image, [min, max]
+    plus, minus = [min(tp), max(tp)], [min(tm), max(tm)] if tm else None
+    if sf.k > 0:
+        adm = _merge(plus, minus) if minus else [plus]
         return GapEstimate(adm=adm, gap=[], method="exact-symmetry")
-
-    if not has_minus.any():
+    if not minus:
         raise InsufficientRange("gap estimation needs annular rows (R > 0)")
 
-    serrin_like = (table.f.name == "serrin_fk"
-                   and table.f.params.get("n") == table.sf.n
-                   and table.f.params.get("k") == k)
-
-    if k == 0 and serrin_like:
-        Rm = Rv[has_minus]
-        lp, ep = _inverse_r_extrapolation(Rm, tp[has_minus])
-        lm, em = _inverse_r_extrapolation(Rm, tm[has_minus])
-        # the limits bound the monotone samples: clamp the extrapolants accordingly
-        lp, lm = max(lp, adm_plus[1]), min(lm, adm_minus[0])
-        width = lm - lp
-        data = {"R_max": float(Rm[-1]), "tau_plus_limit": lp, "tau_minus_limit": lm,
-                "width": width, "tau_plus_error": ep, "tau_minus_error": em}
-        n = table.sf.n  # the closed-form limit of both tails
-        if max(ep, em) > _FLAT_FIT_TOL or width < -_FLAT_FIT_TOL:
-            problem = (f"error estimates {ep} and {em} exceed {_FLAT_FIT_TOL}"
-                       if max(ep, em) > _FLAT_FIT_TOL else
+    R, tp = [row.R for row in annular], [row.tau_plus for row in annular]
+    serrin_like = (f.name == "serrin_fk" and f.params.get("n") == sf.n
+                   and f.params.get("k") == sf.k)
+    flat = sf.k == 0 and serrin_like
+    if flat:
+        (lp, ep), (lm, em) = _inverse_r_extrapolation(R, tp), _inverse_r_extrapolation(R, tm)
+        tol = _FLAT_FIT_TOL
+    else:  # k < 0, and k = 0 without the closed-form tail: settled tails
+        lp, lm = _tail_average(tp), _tail_average(tm)
+        tol = _GAP_WIDTH_TOL
+    # the limits bound the monotone samples: clamp them to the sampled images
+    lp, lm = max(lp, plus[1]), min(lm, minus[0])
+    data = {"R_max": float(R[-1]), "tau_plus_limit": lp, "tau_minus_limit": lm}
+    if flat:
+        n = sf.n  # the closed-form limit of both tails
+        data.update(width=lm - lp, tau_plus_error=ep, tau_minus_error=em)
+        if max(ep, em) > tol or lm - lp < -tol:
+            problem = (f"error estimates {ep} and {em} exceed {tol}"
+                       if max(ep, em) > tol else
                        f"plus limit {lp} exceeds minus limit {lm}")
             raise InsufficientRange(
                 f"tau tail extrapolation: {problem}; extend the R grid "
                 f"(both tails tend to the closed-form limit n = {n}; "
                 f"the extrapolants are off by {lp - n} and {lm - n})")
         data["prediction"] = {"limit": n, "plus_offset": lp - n, "minus_offset": lm - n}
-        adm = _merge([adm_plus[0], max(adm_plus[1], lp)],
-                     [min(adm_minus[0], lm), adm_minus[1]])
-        if abs(width) <= _FLAT_FIT_TOL:
-            point = 0.5 * (lp + lm)
-            return GapEstimate(adm=adm, gap=[point],
-                               method="single-point", asymptote_data=data)
-        return GapEstimate(adm=adm, gap=[lp, lm], method="single-point",
-                           asymptote_data=data)
+    elif sf.k == -1 and serrin_like:
+        m_tilde = closedform.asymptote_parameter_from_cauchy_max(sf.n, table.M)
+        ap = closedform.asymptotic_gap(sf.n, m_tilde)
+        data["vinfty"] = {"M_tilde": m_tilde, "s_minus": ap.s_minus, "s_plus": ap.s_plus,
+                          "predicted_gap_length": ap.predicted_gap_length(table.c_norm),
+                          "predicted_s_tail": ap.predicted_s_tail()}
 
-    # k < 0 (and k = 0 without the closed-form tail): exponential/settled tails
-    Rm = Rv[has_minus]
-    lp = max(_tail_average(tp[has_minus]), adm_plus[1])
-    lm = min(_tail_average(tm[has_minus]), adm_minus[0])
-    data = {"R_max": float(Rm[-1]), "tau_plus_limit": lp, "tau_minus_limit": lm}
-    if k == -1 and serrin_like:
-        m_tilde = closedform.asymptote_parameter_from_cauchy_max(table.sf.n, table.M)
-        ap = closedform.asymptotic_gap(table.sf.n, m_tilde)
-        data["vinfty"] = {
-            "M_tilde": m_tilde,
-            "s_minus": ap.s_minus, "s_plus": ap.s_plus,
-            "predicted_gap_length": ap.predicted_gap_length(table.c_norm),
-            "predicted_s_tail": ap.predicted_s_tail(),
-        }
-    if lm - lp <= _GAP_WIDTH_TOL:
-        gap = [0.5 * (lp + lm)]
-    else:
-        gap = [lp, lm]
-    # extend the sampled-image closures to the fitted limits so the reported
-    # admissible set and gap share at most their (numerical) endpoints
-    adm = _merge([adm_plus[0], max(adm_plus[1], lp)],
-                 [min(adm_minus[0], lm), adm_minus[1]])
-    return GapEstimate(adm=adm, gap=gap, method="asymptote-fit", asymptote_data=data)
+    # the shared step: a point or an interval gap, and the sampled images
+    # extended to the limits, so the admissible set and the gap share at most
+    # their (numerical) endpoints
+    if lm - lp > tol:
+        gap, adm = [lp, lm], _merge([plus[0], lp], [lm, minus[1]])
+    else:  # a point g: each closure stops at g, and no interval holds g inside
+        g = 0.5 * (lp + lm)
+        gap, adm = [g], _merge([plus[0], min(lp, g)], [max(lm, g), minus[1]])
+        if len(adm) == 1:
+            adm = [[plus[0], g], [g, minus[1]]]
+    return GapEstimate(adm=adm, gap=gap, method="single-point" if flat else "asymptote-fit",
+                       asymptote_data=data)
 
 
 def _merge(a, b):

@@ -99,6 +99,20 @@ def test_gap_positive_curvature_empty(tmp_path, capsys):
     assert payload["tau0"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_gap_flat_point_gap_closes_both_admissible_intervals(capsys):
+    """At k = 0 the gap is one point near n, and the admissible set is the
+    two sampled-image closures, each ending at that point: no admissible
+    interval holds the gap point inside."""
+    code, out, _ = run_cli(["gap", "--n", "2", "--k", "0", "--f", "serrin",
+                            "--M", "0.2"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    (point,) = payload["gap"]
+    assert abs(point - 2) <= 1e-4
+    assert payload["adm"] == [[pytest.approx(1.091, abs=1e-3), point],
+                              [point, pytest.approx(7.57e10, rel=1e-3)]]
+
+
 def test_tau_scan_csv_deterministic(tmp_path, capsys):
     outs = []
     for name in ("a.csv", "b.csv"):
@@ -374,6 +388,19 @@ def test_defaulted_parameters_do_not_grow():
             count += sum(p.default is not p.empty for fn in fns
                          for p in inspect.signature(fn).parameters.values())
     assert count <= 50
+
+
+def test_public_names_do_not_grow():
+    """Name ratchet: the package root exports at most 48 names in __all__,
+    and lists there every public name it binds, apart from the submodules
+    that importing from them binds. A new export is a deliberate edit."""
+    assert len(radcomp.__all__) <= 48
+    assert len(set(radcomp.__all__)) == len(radcomp.__all__)
+    assert all(hasattr(radcomp, name) for name in radcomp.__all__)
+    unlisted = [name for name, obj in vars(radcomp).items()
+                if not name.startswith("_") and name not in radcomp.__all__
+                and not (inspect.ismodule(obj) and obj.__name__ == f"radcomp.{name}")]
+    assert not unlisted
 
 
 def test_no_module_imports_scipy():

@@ -1,14 +1,14 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from radcomp import (CauchyData, IsoparametricFamily, SolveOptions, SpaceForm,
-                     allen_cahn, constant, descent_check,
-                     pole_residue, solve_iso_profile, solve_profile)
+                     allen_cahn, constant, descent_check, solve_iso_profile,
+                     solve_profile)
 from radcomp.errors import DomainError
+from radcomp.ode import pole_residue
 
 from test_ode import fd_residual
 
@@ -23,10 +23,12 @@ def test_family_validation():
         IsoparametricFamily(3, 1, 2, 4)  # odd degree needs equal multiplicities
     with pytest.raises(DomainError):
         IsoparametricFamily(2, 0, 1, 2)
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        IsoparametricFamily(2, 1, 1, 7)  # bookkeeping off: n-1 != ell (m1+m2)/2
-    assert rec and "bookkeeping" in str(rec[0].message)
+    with pytest.raises(DomainError, match="bookkeeping"):
+        IsoparametricFamily(2, 1, 1, 7)  # Muenzner: n-1 = ell (m1+m2)/2
+    with pytest.raises(DomainError, match="multiplicities in"):
+        IsoparametricFamily(3, 3, 3, 10)  # Cartan: m in {1, 2, 4, 8}
+    with pytest.raises(DomainError, match="multiplicities in"):
+        IsoparametricFamily(6, 4, 4, 25)  # Abresch: m in {1, 2}
 
 
 def test_coefficient_values():

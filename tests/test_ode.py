@@ -9,13 +9,13 @@ from scipy.optimize import brentq
 
 from radcomp import (CauchyData, HelmholtzS3, Nonlinearity, SerrinExplicit, SolveOptions,
                      SpaceForm, affine, allen_cahn, constant, serrin_fk, serrin_flat_radius,
-                     solve_generic, solve_profile, pole_residue,
-                     polynomial)
+                     solve_generic, solve_profile, polynomial)
 from radcomp.closedform import _g_integrand
 from radcomp.errors import DomainError, NoZeroFound, NotAdmissible, QuadratureError, StepFailure
 from radcomp.ode import (_GROWTH, _WG, _XGK, _ZERO, _ZERO_FLOOR, _ZERO_TOL, FailureCode,
                          SolveStats, _eval_piece, _event_root, _leg_pieces, _pole_start, _qk21,
-                         _quartic, _regular_start, _run_leg, bracketed_newton, gauss_kronrod)
+                         _quartic, _regular_start, _run_leg, bracketed_newton, gauss_kronrod,
+                         pole_residue)
 from radcomp.spaceform import _SERIES_CUT
 
 EPS = np.finfo(float).eps

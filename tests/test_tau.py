@@ -205,7 +205,8 @@ def test_inverse_r_extrapolation_on_polynomials(u, limit, coeffs, sign):
 def test_flat_gap_on_scan_like_grids(n, u):
     """On geometric k = 0 grids like the benchmark's (R_max in [30, 50]) the
     torsion-type gap is one point within 1e-4 of the closed-form limit n,
-    with ordered admissible intervals and both error estimates within 1e-4;
+    with ordered admissible intervals that do not hold it inside and both
+    error estimates within 1e-4;
     the only refusal is an error estimate above 1e-4 (large M, short grid)."""
     M, grid = scan_like_grid(n, 0.0, u)
     table = tau_scan(SpaceForm(n, 0.0), serrin_fk(n, 0.0), M, grid)
@@ -218,6 +219,7 @@ def test_flat_gap_on_scan_like_grids(n, u):
     assert abs(est.gap[0] - n) <= 1e-4
     for lo, hi in est.adm:
         assert lo <= hi
+        assert not lo < est.gap[0] < hi  # the gap point is not inside the admissible set
     data = est.asymptote_data
     assert max(data["tau_plus_error"], data["tau_minus_error"]) <= 1e-4
 
@@ -263,8 +265,8 @@ def scan_like_grid(n, k, u):
 @settings(max_examples=30, deadline=None)
 def test_scan_tau0_and_ordered_intervals(k, n, family, u):
     """tau_plus(0) = 1, and every gap and admissible interval that
-    gap_estimate returns has lo <= hi; a refusal (InsufficientRange) is a
-    valid outcome."""
+    gap_estimate returns has lo <= hi, with a one-point gap inside none of the
+    admissible intervals; a refusal (InsufficientRange) is a valid outcome."""
     M, grid = scan_like_grid(n, k, u)
     f = serrin_fk(n, k) if family == "serrin_fk" else constant(1.0)
     table = tau_scan(SpaceForm(n, k), f, M, grid)
@@ -276,6 +278,7 @@ def test_scan_tau0_and_ordered_intervals(k, n, family, u):
         return
     for lo, hi in est.adm:
         assert lo <= hi
+        assert len(est.gap) != 1 or not lo < est.gap[0] < hi
     if len(est.gap) == 2:
         assert est.gap[0] <= est.gap[1]
 

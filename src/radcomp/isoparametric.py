@@ -4,8 +4,9 @@ A family is described by the degree ell in {1, 2, 3, 4, 6}, the two
 principal-curvature multiplicities, and the ambient dimension; the reduced
 equation lives on the leaf parameter s in (0, pi/ell) with first-order
 coefficient (n-1) cot(ell s) - c / (ell sin(ell s)), c = ell^2 (m2 - m1) / 2.
-Both endpoints are focal poles; the solver starts there with the numeric
-pole residue.
+Both endpoints are focal poles, with the residues m1 at s = 0 and m2 at
+s = pi/ell (by Muenzner's n - 1 = ell (m1 + m2) / 2); the solver is given
+them and starts there from its Taylor state.
 """
 
 from __future__ import annotations
@@ -92,18 +93,18 @@ class IsoProfile:
 
 
 def solve_iso_profile(family: IsoparametricFamily, f: Nonlinearity, S: float,
-                      M: float, opts: SolveOptions = SolveOptions(),
-                      strict: bool = True) -> IsoProfile:
+                      M: float, opts: SolveOptions = SolveOptions()) -> IsoProfile:
     """Shoot the reduced equation from Z(S) = M, Z'(S) = 0.
 
     S = 0 and S = pi/ell start at a focal pole (singular startup with the
-    numeric residue); interior S gives a band between two interior zeros.
+    residue m1 or m2); interior S gives a band between two interior zeros.
+    Failures raise, as in a strict `solve_generic`.
     """
     smax = family.s_max
     if not (0.0 <= S <= smax):
         raise DomainError(f"focal parameter S = {S} outside [0, pi/ell = {smax}]")
     cd = CauchyData(S, M)
-    prof = solve_generic(family.coefficient, f, cd, (0.0, smax), opts, strict=strict)
+    prof = solve_generic(family.coefficient, f, cd, (0.0, smax), (family.m1, family.m2), opts)
     if S == 0.0:
         domain = "focal-cap-plus"
     elif abs(S - smax) <= 1e-12 * smax:

@@ -5,8 +5,9 @@
 with event detection for the zeros of U on both sides of the core radius R.
 The engine is generic in the first-order coefficient b, which may have simple
 poles at the interval endpoints (r = 0 for the radial equation, both focal
-radii for the isoparametric reduction); integration then starts from a
-second-order Taylor state at a small offset from the pole.
+radii for the isoparametric reduction); the caller passes their residues,
+which are known in closed form, and integration starts from a second-order
+Taylor state at a small offset from the pole.
 
 Each leg is integrated by the adaptive Dormand-Prince 5(4) pair on plain
 floats (Dormand & Prince 1980; step control, error norm and initial step as
@@ -64,6 +65,8 @@ class CauchyData:
     M: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.R) and math.isfinite(self.M)):
+            raise DomainError(f"Cauchy data must be finite, got R = {self.R}, M = {self.M}")
         if not self.M > 0:
             raise DomainError(f"maximum value must be positive, got M = {self.M}")
         if self.R < 0:
@@ -90,40 +93,6 @@ class SolveStats:
         """Right-hand-side evaluations: 6 per attempted step, plus one at the
         start of each leg and one for its initial step size."""
         return 6 * (self.steps + self.rejected) + 2 * self.legs
-
-
-@dataclass
-class StartState:
-    r0: float
-    u0: float
-    du0: float
-    b1: float  # pole residue of b (0 at a regular start)
-
-
-def pole_residue(b: Callable[[float], float], pole: float, side: int,
-                 scale: float = 1.0) -> float:
-    """Numeric limit of (r - pole) * b(r) from the given side (+1: above)."""
-    def g(tau):
-        return side * tau * b(pole + side * tau)
-    t0 = 1e-4 * scale
-    val = (4.0 * g(t0 / 2.0) - g(t0)) / 3.0  # removes the O(tau^2) term
-    if not math.isfinite(val):
-        raise DomainError("coefficient limit at the pole is not finite")
-    return val
-
-
-def _pole_start(b, f: Nonlinearity, M: float, pole: float, side: int,
-                eps: float, scale: float = 1.0) -> StartState:
-    b1 = pole_residue(b, pole, side, scale)
-    fM = f(M)
-    u0 = M - fM * eps * eps / (2.0 * (1.0 + b1))
-    du0 = -side * fM * eps / (1.0 + b1)
-    return StartState(pole + side * eps, u0, du0, b1)
-
-
-def _regular_start(f: Nonlinearity, R: float, M: float, side: int, eps: float) -> StartState:
-    fM = f(M)
-    return StartState(R + side * eps, M - fM * eps * eps / 2.0, -side * fM * eps, 0.0)
 
 
 class ModelProfile:
@@ -276,11 +245,11 @@ def _eval_piece(p, r):
             v0 + d * (c0 + x * (c1 + x * (c2 + x * c3))))
 
 
-def _taylor_piece(center, M, fM, one_plus_b1):
-    """The startup patch U = M - f(M) d^2 / (2 (1 + b1)), d = r - center, as a
-    piece of unit scale."""
-    return [center, 1.0, M, 0.0, 0.0, -fM / (2.0 * one_plus_b1), 0.0, 0.0,
-            -fM / one_plus_b1, 0.0, 0.0, 0.0]
+def _taylor_piece(center, M, fM, one_plus_residue):
+    """The startup patch U = M - f(M) d^2 / (2 (1 + residue)), d = r - center,
+    as a piece of unit scale."""
+    return [center, 1.0, M, 0.0, 0.0, -fM / (2.0 * one_plus_residue), 0.0, 0.0,
+            -fM / one_plus_residue, 0.0, 0.0, 0.0]
 
 
 def _quartic(k1, k3, k4, k5, k6, k7):
@@ -499,9 +468,10 @@ def _initial_step(b, f, t, u, v, w, target, direction, rtol, atol):
     return min(100 * h0, h1, span)
 
 
-def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: float) -> _Leg:
-    """Integrate one leg, stopping at the first zero of U, a vanishing of U',
-    runaway growth, or the target endpoint.
+def _run_leg(b, f, r0: float, u0: float, du0: float, target: float, opts: SolveOptions,
+             M: float) -> _Leg:
+    """Integrate one leg from (U, U') = (u0, du0) at r0, stopping at the first
+    zero of U, a vanishing of U', runaway growth, or the target endpoint.
 
     The state is (U, V = U') with V' = W = -b(r) V - f(U), where b and f are
     plain scalar functions. An event fires when U falls to 0, V changes sign,
@@ -511,7 +481,7 @@ def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: floa
     rtol = max(opts.rtol, 100 * _EPS)  # the floor RK45 puts on rtol
     atol = opts.atol
     cap = _GROWTH_CAP * max(1.0, M)
-    t, u, v = start.r0, start.u0, start.du0
+    t, u, v = r0, u0, du0
     w = -b(t) * v - f(u)
     steps = []   # t, h, U, V, t_new, then the stages of U' and of V'
     fired = []
@@ -609,7 +579,7 @@ def _run_leg(b, f, start: StartState, target: float, opts: SolveOptions, M: floa
 
 
 def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
-                  interval: tuple, opts: SolveOptions = SolveOptions(),
+                  interval: tuple, residues: tuple, opts: SolveOptions = SolveOptions(),
                   sf: Optional[SpaceForm] = None, strict: bool = True) -> ModelProfile:
     """Shoot from the Cauchy data in both directions inside `interval`.
 
@@ -617,9 +587,13 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
     always treated as one (a leg stops at the floor `_ZERO_FLOOR` above it,
     and a core there starts from the pole), and so is the upper end exactly
     when it is finite; an infinite upper end caps the outward leg at
-    `opts.r_max_cap` past R. With `strict`, failures raise (the exception
-    carries the partial profile; a leg's StepFailure is raised as it
-    happens); otherwise the profile is returned with `.failure` and
+    `opts.r_max_cap` past R. `residues` gives the limits of (r - pole) b(r)
+    at the lower and the upper end, which are properties of the equation
+    and known in closed form; a core on a pole starts from the Taylor state
+    U = M - f(M) d^2 / (2 (1 + residue)), d = r - pole, and an interior core
+    from the same state with residue 0. With `strict`, failures raise (the
+    exception carries the partial profile; a leg's StepFailure is raised as
+    it happens); otherwise the profile is returned with `.failure` and
     `.failure_code` set, also when a leg failed for its step size.
     """
     lo, hi = float(interval[0]), float(interval[1])
@@ -630,30 +604,27 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
         raise DomainError(f"core radius {R} outside the interval [{lo}, {hi})")
 
     prof = ModelProfile(b, f, cd, sf=sf)
-    width = (hi - lo) if hi_pole else 1.0
-    eps_base = _EPS_START * min(1.0, width)
+    eps = _EPS_START * min(1.0, hi - lo)
 
     at_lo_pole = abs(R - lo) <= _ZERO_FLOOR
     if not at_lo_pole and R - lo < 100 * _ZERO_FLOOR:
         raise DomainError(f"core radius {R} too close to the pole at {lo} to resolve")
 
-    fM = f(M)
-    legs = []  # (side, StartState)
     if at_lo_pole:
-        st = _pole_start(b, f, M, lo, +1, eps_base, scale=min(1.0, width))
-        legs.append((+1, st))
-        taylor, r_lo, r_hi = _taylor_piece(lo, M, fM, 1.0 + st.b1), lo, st.r0
+        center, sides, residue = lo, (+1,), residues[0]
     elif at_hi_pole:
-        st = _pole_start(b, f, M, hi, -1, eps_base, scale=min(1.0, width))
-        legs.append((-1, st))
-        taylor, r_lo, r_hi = _taylor_piece(hi, M, fM, 1.0 + st.b1), st.r0, hi
+        center, sides, residue = hi, (-1,), residues[1]
     else:
-        gap = min(R - lo, hi - R) if hi_pole else R - lo
-        eps = min(eps_base, gap / 100.0) if gap > 0 else eps_base
-        legs.append((+1, _regular_start(f, R, M, +1, eps)))
-        legs.append((-1, _regular_start(f, R, M, -1, eps)))
-        taylor, r_lo, r_hi = _taylor_piece(R, M, fM, 1.0), R - eps, R + eps
-    prof._taylor = (taylor, r_lo)
+        center, sides, residue = R, (+1, -1), 0.0
+        eps = min(eps, min(R - lo, hi - R) / 100.0)
+    if not residue > -1.0:
+        raise DomainError(f"pole residue must exceed -1, got {residue}")
+    fM = f(M)
+    u0 = M - fM * eps * eps / (2.0 * (1.0 + residue))
+    du0 = fM * eps / (1.0 + residue)  # U' at the start is -side * du0
+    r_lo = center - eps if -1 in sides else center
+    r_hi = center + eps if +1 in sides else center
+    prof._taylor = (_taylor_piece(center, M, fM, 1.0 + residue), r_lo)
 
     if fM <= 0:
         prof.failure = f"core is not a strict local maximum: f(M) = {fM} <= 0"
@@ -662,13 +633,13 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
     pole_eps_hi = max(1e-9, 1e-12 * abs(hi)) if hi_pole else 0.0
     diagnostics = []  # (FailureCode, text)
 
-    for side, st in legs:
+    for side in sides:
         if side > 0:
             target = (hi - pole_eps_hi) if hi_pole else R + opts.r_max_cap
         else:
             target = lo + _ZERO_FLOOR
         try:
-            leg = _run_leg(b, f.func, st, target, opts, M)
+            leg = _run_leg(b, f.func, center + side * eps, u0, -side * du0, target, opts, M)
         except StepFailure as e:
             if strict:
                 raise
@@ -678,7 +649,7 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
         stats = prof.stats
         prof.stats = SolveStats(stats.legs + 1, stats.steps + len(leg.steps),
                                 stats.rejected + leg.rejected)
-        r_lo, r_hi = min(r_lo, st.r0, leg.end), max(r_hi, st.r0, leg.end)
+        r_lo, r_hi = min(r_lo, leg.end), max(r_hi, leg.end)
 
         if leg.event == _ZERO:
             rz, (uz, duz) = leg.end, leg.state
@@ -714,12 +685,7 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
 
     prof.r_lo, prof.r_hi = r_lo, r_hi
 
-    if at_lo_pole:
-        have_zeros = prof.r_plus is not None
-    elif at_hi_pole:
-        have_zeros = prof.r_minus is not None
-    else:
-        have_zeros = prof.r_plus is not None and prof.r_minus is not None
+    have_zeros = all((prof.r_plus if side > 0 else prof.r_minus) is not None for side in sides)
     if prof.failure is None and diagnostics:
         codes = {code for code, _ in diagnostics}
         prof.failure = "; ".join(text for _, text in diagnostics)
@@ -741,7 +707,7 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
 def solve_profile(sf: SpaceForm, f: Nonlinearity, cd: CauchyData,
                   opts: SolveOptions = SolveOptions(), strict: bool = True) -> ModelProfile:
     """Radial model profile on the space form (coefficient (n-1) cot_k)."""
-    if cd.M > 0 and sf.k > 0 and not (0 <= cd.R < sf.r_bar):
+    if sf.k > 0 and not (0 <= cd.R < sf.r_bar):
         raise DomainError(f"core radius {cd.R} outside [0, r_bar = {sf.r_bar})")
-    return solve_generic(sf.radial_coefficient, f, cd, (0.0, sf.r_bar), opts,
-                         sf=sf, strict=strict)
+    return solve_generic(sf.radial_coefficient, f, cd, (0.0, sf.r_bar),
+                         (sf.n - 1, sf.n - 1), opts, sf=sf, strict=strict)

@@ -96,6 +96,8 @@ class SpaceForm:
             raise DomainError(f"dimension must be an integer >= 2, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "k", float(self.k))
+        if not math.isfinite(self.k):
+            raise DomainError(f"curvature bound must be finite, got k = {self.k}")
         s = math.sqrt(abs(self.k))
         object.__setattr__(self, "_sqrt_abs_k", s)
         object.__setattr__(self, "r_bar", math.pi / s if self.k > 0 else math.inf)

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from radcomp import (CauchyData, IsoparametricFamily, SolveOptions, SpaceForm,
                      allen_cahn, constant, descent_check, solve_iso_profile,
                      solve_profile)
+from radcomp import isoparametric
 from radcomp.errors import DomainError
-from radcomp.ode import pole_residue
 
-from test_ode import fd_residual
+from solver_checks import assert_residue_is_the_limit, fd_residual, given_residues
 
 
 def test_family_validation():
@@ -52,12 +52,19 @@ def test_coefficient_values():
         fam2.coefficient(fam2.s_max)
 
 
-def test_unbalanced_coefficient_pole_residues():
-    fam = IsoparametricFamily(4, 2, 5, 15)
-    assert pole_residue(fam.coefficient, 0.0, +1, scale=fam.s_max) \
-        == pytest.approx(fam.m1, abs=1e-7)
-    assert pole_residue(fam.coefficient, fam.s_max, -1, scale=fam.s_max) \
-        == pytest.approx(fam.m2, abs=1e-7)
+@pytest.mark.parametrize("ell, m1, m2, n", [(1, 2, 2, 3), (2, 1, 1, 3), (2, 1, 3, 5),
+                                             (3, 1, 1, 4), (4, 1, 2, 7), (4, 2, 5, 15),
+                                             (6, 1, 1, 7)])
+def test_focal_residues_are_the_limits_at_both_poles(monkeypatch, ell, m1, m2, n):
+    """solve_iso_profile gives m1 at s = 0 and m2 at s = pi/ell, the limits of
+    (s - pole) times the coefficient; (4, 2, 5, 15) tells the two apart."""
+    fam = IsoparametricFamily(ell, m1, m2, n)
+    residues = given_residues(monkeypatch, isoparametric, lambda: solve_iso_profile(
+        fam, constant(1.0), 0.0, 0.1))
+    assert residues == (m1, m2)
+    curvature = ell * ell * n
+    assert_residue_is_the_limit(fam.coefficient, 0.0, +1, residues[0], curvature)
+    assert_residue_is_the_limit(fam.coefficient, fam.s_max, -1, residues[1], curvature)
 
 
 @given(m=st.integers(1, 3), t=st.floats(0.05, 0.95), q=st.floats(0.01, 1.0))

@@ -10,13 +10,15 @@ from scipy.optimize import brentq
 from radcomp import (CauchyData, HelmholtzS3, Nonlinearity, SerrinExplicit, SolveOptions,
                      SpaceForm, affine, allen_cahn, constant, serrin_fk, serrin_flat_radius,
                      solve_generic, solve_profile, polynomial)
+from radcomp import ode
 from radcomp.closedform import _g_integrand
 from radcomp.errors import DomainError, NoZeroFound, NotAdmissible, QuadratureError, StepFailure
-from radcomp.ode import (_GROWTH, _WG, _XGK, _ZERO, _ZERO_FLOOR, _ZERO_TOL, FailureCode,
-                         SolveStats, _eval_piece, _event_root, _leg_pieces, _pole_start, _qk21,
-                         _quartic, _regular_start, _run_leg, bracketed_newton, gauss_kronrod,
-                         pole_residue)
+from radcomp.ode import (_GROWTH, _WG, _XGK, _ZERO_FLOOR, _ZERO_TOL, FailureCode,
+                         SolveStats, _eval_piece, _event_root, _leg_pieces, _qk21, _quartic,
+                         _run_leg, bracketed_newton, gauss_kronrod)
 from radcomp.spaceform import _SERIES_CUT
+
+from solver_checks import assert_residue_is_the_limit, fd_residual, given_residues
 
 EPS = np.finfo(float).eps
 
@@ -110,15 +112,6 @@ def test_annulus_structure():
     assert np.all(prof.du(rs[right]) < 0)
 
 
-def fd_residual(prof, b, r, h=2e-3):
-    """|U'' + b U' + f(U)| with U'' from a five-point stencil on the dense
-    derivative channel (differencing the value channel would amplify the
-    interpolant's value error by 1/h^2)."""
-    d2 = (-prof.du(r + 2 * h) + 8 * prof.du(r + h)
-          - 8 * prof.du(r - h) + prof.du(r - 2 * h)) / (12 * h)
-    return abs(d2 + b(r) * prof.du(r) + prof.f(prof.u(r)))
-
-
 def test_ode_residual_of_dense_output():
     """The dense profile satisfies the equation on an interior grid
     (stencils kept clear of the startup seam at the core)."""
@@ -154,49 +147,62 @@ def test_event_convergence_under_tol_halving():
     assert abs(p1.r_minus - p2.r_minus) < 10.0 * p1.r_minus_err
 
 
-def test_singular_start_taylor():
-    sf = SpaceForm(3, 0.0)
-    st_ = _pole_start(sf.radial_coefficient, constant(1.0), 1.0, 0.0, +1, 1e-4)
-    assert st_.b1 == pytest.approx(2.0, abs=1e-9)
-    assert st_.u0 == pytest.approx(1.0 - 1e-8 / 6.0, abs=1e-18)
-    assert st_.du0 == pytest.approx(-1e-4 / 3.0, rel=1e-9)
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
+def test_radial_residues_are_the_limits_at_both_poles(monkeypatch, n, k):
+    """solve_profile gives n - 1 at r = 0 and at r_bar; (n - 1) r cot_k(r) =
+    (n - 1) (1 - k r^2 / 3 + ...) tends to it at both poles."""
+    sf = SpaceForm(n, k)
+    residues = given_residues(monkeypatch, ode, lambda: solve_profile(
+        sf, constant(1.0), CauchyData(0.0, 1.0)))
+    assert residues == (n - 1, n - 1)
+    assert_residue_is_the_limit(sf.radial_coefficient, 0.0, +1, residues[0], n * abs(k))
+    if k > 0:
+        assert_residue_is_the_limit(sf.radial_coefficient, sf.r_bar, -1, residues[1], n * k)
 
 
-def test_singular_start_richardson_consistency():
+def test_far_pole_startup_slope_is_exact():
+    """Next to a far pole the startup patch is U = M - f(M) d^2 / (2 n) for the
+    residue n - 1, d = r - r_bar: U' there is -f(M) d / n to rounding. A
+    residue taken as a numeric limit of b at the pole of r_bar = 3.1e4 is off
+    by 2.3e-8, which moves this slope by 6e-9."""
+    n, M = 4, 0.5
+    sf, f = SpaceForm(n, 1e-8), constant(1.0)
+    prof = solve_generic(sf.radial_coefficient, f, CauchyData(sf.r_bar, M),
+                         (0.0, sf.r_bar), (n - 1.0, n - 1.0))
+    assert prof.admissible and prof.r_hi == sf.r_bar
+    patch_lo = prof._taylor[1]
+    assert sf.r_bar - patch_lo == pytest.approx(ode._EPS_START, rel=1e-9)
+    for r in np.linspace(patch_lo, sf.r_bar, 7)[1:-1].tolist():
+        assert prof.du(r) == pytest.approx(-f(M) * (r - sf.r_bar) / n, rel=1e-13, abs=0.0)
+        assert prof.u(r) == pytest.approx(M - f(M) * (r - sf.r_bar) ** 2 / (2 * n),
+                                          rel=1e-15, abs=0.0)
+
+
+def test_singular_start_richardson_consistency(monkeypatch):
     """Halving the startup offset from the pole moves the zero within tolerance."""
     sf = SpaceForm(3, 1.0)
     f = serrin_fk(3, 1.0)
     zeros = []
     for eps in (1e-5, 5e-6):
-        st_ = _pole_start(sf.radial_coefficient, f, 1.0, 0.0, +1, eps)
-        leg = _run_leg(sf.radial_coefficient, f, st_, sf.r_bar - 1e-9, SolveOptions(), 1.0)
-        assert leg.event == _ZERO
-        zeros.append(leg.end)
+        monkeypatch.setattr(ode, "_EPS_START", eps)
+        prof = solve_profile(sf, f, CauchyData(0.0, 1.0))
+        assert prof._taylor[0][0] == 0.0 and prof._legs[0][0][0] == eps
+        zeros.append(prof.r_plus)
     assert abs(zeros[0] - zeros[1]) < 1e-9
 
 
-def test_singular_start_far_pole():
-    sf = SpaceForm(3, 1.0)
-    st_ = _pole_start(sf.radial_coefficient, constant(2.0), 1.0, sf.r_bar, -1, 1e-5,
-                      scale=sf.r_bar)
-    assert st_.r0 == pytest.approx(math.pi - 1e-5)
-    assert st_.b1 == pytest.approx(2.0, abs=1e-8)
-    assert st_.du0 > 0  # increasing toward the pole maximum
-
-
 def test_singular_start_degenerate_forcing():
+    """f(M) = 0: the start is flat, U = M and U' = 0, and the core is no
+    strict maximum."""
     sf = SpaceForm(3, 0.0)
-    st_ = _pole_start(sf.radial_coefficient, constant(0.0), 1.0, 0.0, +1, 1e-5)
-    assert st_.u0 == 1.0 and st_.du0 == 0.0
+    opts = SolveOptions(r_max_cap=5.0)
+    prof = solve_profile(sf, constant(0.0), CauchyData(0.0, 1.0), opts, strict=False)
+    start = prof._legs[0][0]
+    assert start[0] == ode._EPS_START and start[2] == 1.0 and start[3] == 0.0
+    assert prof.failure_code is FailureCode.NOT_ADMISSIBLE
     with pytest.raises(NotAdmissible):
-        solve_profile(sf, constant(0.0), CauchyData(0.0, 1.0),
-                      SolveOptions(r_max_cap=5.0))
-
-
-def test_pole_residue_radial():
-    sf = SpaceForm(4, 1.0)
-    assert pole_residue(sf.radial_coefficient, 0.0, +1) == pytest.approx(3.0, abs=1e-9)
-    assert pole_residue(sf.radial_coefficient, sf.r_bar, -1) == pytest.approx(3.0, abs=1e-9)
+        solve_profile(sf, constant(0.0), CauchyData(0.0, 1.0), opts)
 
 
 def test_solve_generic_matches_radial_bitwise():
@@ -204,7 +210,7 @@ def test_solve_generic_matches_radial_bitwise():
     f = serrin_fk(3, 1.0)
     cd = CauchyData(1.0, 1.0)
     p1 = solve_profile(sf, f, cd)
-    p2 = solve_generic(lambda r: 2.0 * sf.cotk(r), f, cd, (0.0, sf.r_bar))
+    p2 = solve_generic(lambda r: 2.0 * sf.cotk(r), f, cd, (0.0, sf.r_bar), (2.0, 2.0))
     assert p1.r_plus == p2.r_plus and p1.r_minus == p2.r_minus
     for r in np.linspace(p1.r_minus, p1.r_plus, 23):
         assert p1.u(r) == p2.u(r)
@@ -213,11 +219,19 @@ def test_solve_generic_matches_radial_bitwise():
 def test_solve_generic_no_drift():
     # b = 0: U = M - f (r - R)^2 / 2 exactly
     f = constant(1.0)
-    prof = solve_generic(lambda r: 0.0, f, CauchyData(2.0, 1.0), (0.0, math.inf))
+    prof = solve_generic(lambda r: 0.0, f, CauchyData(2.0, 1.0), (0.0, math.inf), (0.0, 0.0))
     assert prof.r_plus == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-10)
     assert prof.r_minus == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-10)
     for r in np.linspace(prof.r_minus, prof.r_plus, 17):
         assert prof.u(r) == pytest.approx(1.0 - (r - 2.0) ** 2 / 2.0, abs=1e-11)
+
+
+def test_solve_generic_refuses_a_residue_not_above_minus_one():
+    """The start from a pole divides by 1 + residue."""
+    for residues in ((-1.0, 0.0), (math.nan, 0.0)):
+        with pytest.raises(DomainError, match="residue"):
+            solve_generic(lambda r: -1.0 / r, constant(1.0), CauchyData(0.0, 1.0),
+                          (0.0, math.inf), residues)
 
 
 def test_no_zero_found_at_cap():
@@ -280,6 +294,9 @@ def test_cauchy_validation():
         CauchyData(0.0, -1.0)
     with pytest.raises(DomainError):
         CauchyData(-0.5, 1.0)
+    for R, M in ((math.nan, 1.0), (math.inf, 1.0), (0.5, math.inf), (0.5, math.nan)):
+        with pytest.raises(DomainError):
+            CauchyData(R, M)
     sf = SpaceForm(3, 1.0)
     with pytest.raises(DomainError):
         solve_profile(sf, constant(1.0), CauchyData(4.0, 1.0))  # beyond r_bar
@@ -351,8 +368,9 @@ def test_each_stage_node_is_evaluated_once():
         calls["f"] += 1
         return f(u)
 
-    start = _regular_start(f, 1.5, 0.25, +1, 1e-6)
-    leg = _run_leg(b, g, start, 50.0, SolveOptions(), 0.25)
+    eps, fM = 1e-6, f(0.25)
+    leg = _run_leg(b, g, 1.5 + eps, 0.25 - fM * eps * eps / 2.0, -fM * eps, 50.0,
+                   SolveOptions(), 0.25)
     assert leg.event is not None and len(leg.steps) > 10
     assert (calls["b"] - 2) / 5 == (calls["f"] - 2) / 6 >= len(leg.steps)
     assert calls["f"] == 6 * (len(leg.steps) + leg.rejected) + 2 \
@@ -584,7 +602,8 @@ def test_descending_leg_from_the_far_pole_locates_its_zero():
     r_bar - r_plus of the centered profile."""
     sf, f, M = SpaceForm(3, 1.0), serrin_fk(3, 1.0), 0.7
     centered = solve_profile(sf, f, CauchyData(0.0, M))
-    far = solve_generic(sf.radial_coefficient, f, CauchyData(sf.r_bar, M), (0.0, sf.r_bar))
+    far = solve_generic(sf.radial_coefficient, f, CauchyData(sf.r_bar, M), (0.0, sf.r_bar),
+                        (2.0, 2.0))
     assert far.admissible and far.r_plus is None
     assert abs(far.r_minus - (sf.r_bar - centered.r_plus)) < 1e-9
     assert far.dU_minus == pytest.approx(-centered.dU_plus, rel=1e-8)
@@ -634,7 +653,8 @@ def assert_zero_errors_bounded(prof, u, lo, hi):
 def test_zero_error_estimate_flat_quadratic(M, gap):
     # b = 0, f = 1: U = M - (r - R)^2 / 2 with zeros R -+ sqrt(2 M)
     R = math.sqrt(2.0 * M) + gap
-    prof = solve_generic(lambda r: 0.0, constant(1.0), CauchyData(R, M), (0.0, math.inf))
+    prof = solve_generic(lambda r: 0.0, constant(1.0), CauchyData(R, M), (0.0, math.inf),
+                         (0.0, 0.0))
     assert prof.r_minus is not None
     assert_zero_errors_bounded(prof, lambda r: M - (r - R) ** 2 / 2.0, 0.0, math.inf)
 

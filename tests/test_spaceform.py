@@ -42,6 +42,9 @@ def test_domain_errors():
         sf.tank(math.pi / 2)
     with pytest.raises(DomainError):
         SpaceForm(1, 0.0)
+    for k in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="must be finite"):
+            SpaceForm(3, k)
     # the endpoint itself is allowed for k > 0 and returns 0
     assert sf.sk(math.pi) == pytest.approx(0.0, abs=1e-12)
 

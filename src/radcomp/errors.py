@@ -18,25 +18,26 @@ class NumericalError(RadcompError):
     """Base class for runtime numerical failures (CLI exit code 3)."""
 
 
-class NoZeroFound(NumericalError):
+class SolveFailure(NumericalError):
+    """A profile solve that is not admissible; `profile` is the failed profile
+    (None only on the StepFailure that a leg raises inside the solve)."""
+
+    def __init__(self, message, profile=None):
+        super().__init__(message)
+        self.profile = profile
+
+
+class NoZeroFound(SolveFailure):
     """Integration reached its cap / the opposite singular endpoint without
     a sign change of the profile."""
 
-    def __init__(self, message, profile=None):
-        super().__init__(message)
-        self.profile = profile
 
-
-class NotAdmissible(NumericalError):
+class NotAdmissible(SolveFailure):
     """Profile violates the admissibility requirements (derivative vanishes
     or the profile turns before reaching zero)."""
 
-    def __init__(self, message, profile=None):
-        super().__init__(message)
-        self.profile = profile
 
-
-class StepFailure(NumericalError):
+class StepFailure(SolveFailure):
     """The adaptive integrator could not meet its tolerances."""
 
 

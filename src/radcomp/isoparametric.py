@@ -98,7 +98,7 @@ def solve_iso_profile(family: IsoparametricFamily, f: Nonlinearity, S: float,
 
     S = 0 and S = pi/ell start at a focal pole (singular startup with the
     residue m1 or m2); interior S gives a band between two interior zeros.
-    Failures raise, as in a strict `solve_generic`.
+    A failed solve raises as in `solve_generic`, with the profile attached.
     """
     smax = family.s_max
     if not (0.0 <= S <= smax):

@@ -181,7 +181,7 @@ def from_cli_spec(spec: str, sf: SpaceForm | None = None) -> Nonlinearity:
     if family in ("serrin", "serrin_fk") and not colon:
         if sf is None:
             raise DomainError("serrin nonlinearity needs the ambient (n, k)")
-        return serrin_fk(sf.n, sf.k)
+        return from_descriptor({"family": "serrin_fk", "params": [sf.n, sf.k]})
     try:
         args = [float(tok) for tok in tail.split(",")] if tail else []
     except ValueError:

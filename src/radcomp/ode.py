@@ -50,12 +50,16 @@ _ZERO, _TURN, _GROWTH = 0, 1, 2
 
 
 class FailureCode(enum.Enum):
-    """Kind of a failed solve; a strict solve raises NoZeroFound for NO_ZERO,
-    StepFailure for STEP_FAILURE (from the leg, at once) and NotAdmissible
-    otherwise."""
+    """Kind of a failed solve, which raises the exception its code names
+    (NoZeroFound, NotAdmissible, StepFailure) with the profile attached."""
     NO_ZERO = "no_zero"                # a leg ended without a sign change of U
     NOT_ADMISSIBLE = "not_admissible"  # f(M) <= 0, a turn, runaway growth, a stalled zero
     STEP_FAILURE = "step_failure"      # a leg's step size fell below the spacing of floats
+
+
+# a solve whose legs report several codes takes the first one in this order
+_FAILURE_EXCEPTIONS = {FailureCode.STEP_FAILURE: StepFailure, FailureCode.NO_ZERO: NoZeroFound,
+                       FailureCode.NOT_ADMISSIBLE: NotAdmissible}
 
 
 @dataclass(frozen=True)
@@ -580,7 +584,7 @@ def _run_leg(b, f, r0: float, u0: float, du0: float, target: float, opts: SolveO
 
 def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
                   interval: tuple, residues: tuple, opts: SolveOptions = SolveOptions(),
-                  sf: Optional[SpaceForm] = None, strict: bool = True) -> ModelProfile:
+                  sf: Optional[SpaceForm] = None) -> ModelProfile:
     """Shoot from the Cauchy data in both directions inside `interval`.
 
     b may have a simple pole at either end of the interval: the lower end is
@@ -591,10 +595,11 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
     at the lower and the upper end, which are properties of the equation
     and known in closed form; a core on a pole starts from the Taylor state
     U = M - f(M) d^2 / (2 (1 + residue)), d = r - pole, and an interior core
-    from the same state with residue 0. With `strict`, failures raise (the
-    exception carries the partial profile; a leg's StepFailure is raised as
-    it happens); otherwise the profile is returned with `.failure` and
-    `.failure_code` set, also when a leg failed for its step size.
+    from the same state with residue 0. Every leg runs, also after a step
+    failure of the other. A solve that is not admissible raises the
+    exception of its failure code (NoZeroFound, NotAdmissible, StepFailure);
+    its `profile` has `.failure_code` and `.failure`, the diagnostics of the
+    failed legs joined by "; ".
     """
     lo, hi = float(interval[0]), float(interval[1])
     R, M = cd.R, cd.M
@@ -641,8 +646,6 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
         try:
             leg = _run_leg(b, f.func, center + side * eps, u0, -side * du0, target, opts, M)
         except StepFailure as e:
-            if strict:
-                raise
             diagnostics.append((FailureCode.STEP_FAILURE, str(e)))
             continue
         prof._legs.append(leg.steps)
@@ -685,29 +688,20 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
 
     prof.r_lo, prof.r_hi = r_lo, r_hi
 
-    have_zeros = all((prof.r_plus if side > 0 else prof.r_minus) is not None for side in sides)
     if prof.failure is None and diagnostics:
         codes = {code for code, _ in diagnostics}
         prof.failure = "; ".join(text for _, text in diagnostics)
-        prof.failure_code = (FailureCode.STEP_FAILURE if FailureCode.STEP_FAILURE in codes
-                             else FailureCode.NO_ZERO if FailureCode.NO_ZERO in codes
-                             else FailureCode.NOT_ADMISSIBLE)
-    if prof.failure is None and have_zeros:
-        prof.admissible = True
-    elif prof.failure is None:
-        prof.failure = "missing boundary zero"
-        prof.failure_code = FailureCode.NOT_ADMISSIBLE
-
-    if strict and not prof.admissible:
-        exc = NoZeroFound if prof.failure_code is FailureCode.NO_ZERO else NotAdmissible
-        raise exc(prof.failure, profile=prof)
+        prof.failure_code = next(code for code in _FAILURE_EXCEPTIONS if code in codes)
+    if prof.failure is not None:
+        raise _FAILURE_EXCEPTIONS[prof.failure_code](prof.failure, profile=prof)
+    prof.admissible = True
     return prof
 
 
 def solve_profile(sf: SpaceForm, f: Nonlinearity, cd: CauchyData,
-                  opts: SolveOptions = SolveOptions(), strict: bool = True) -> ModelProfile:
+                  opts: SolveOptions = SolveOptions()) -> ModelProfile:
     """Radial model profile on the space form (coefficient (n-1) cot_k)."""
     if sf.k > 0 and not (0 <= cd.R < sf.r_bar):
         raise DomainError(f"core radius {cd.R} outside [0, r_bar = {sf.r_bar})")
     return solve_generic(sf.radial_coefficient, f, cd, (0.0, sf.r_bar),
-                         (sf.n - 1, sf.n - 1), opts, sf=sf, strict=strict)
+                         (sf.n - 1, sf.n - 1), opts, sf=sf)

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import closedform
-from .errors import DomainError, InsufficientRange, NumericalError
+from .errors import DomainError, InsufficientRange, NumericalError, SolveFailure
 from .nonlinearity import Nonlinearity, serrin_fk
 from .ode import CauchyData, SolveOptions, solve_profile
 from .spaceform import SpaceForm
@@ -83,7 +83,10 @@ def normalization_constant(sf: SpaceForm, f: Nonlinearity, M: float,
 
 def _scan_row(sf, f, M, R, c, opts) -> TauRow:
     row = TauRow(R=float(R))
-    prof = solve_profile(sf, f, CauchyData(float(R), M), opts, strict=False)
+    try:
+        prof = solve_profile(sf, f, CauchyData(float(R), M), opts)
+    except SolveFailure as e:
+        prof = e.profile
     if prof.r_plus is not None:
         row.r_plus, row.dU_plus = prof.r_plus, prof.dU_plus
         row.tau_plus = prof.dU_plus ** 2 / c
@@ -105,7 +108,7 @@ def tau_scan(sf: SpaceForm, f: Nonlinearity, M: float, R_grid,
         raise DomainError("R grid must stay strictly below r_bar for k > 0")
     if np.any(R_grid < 0):
         raise DomainError("core radii must be nonnegative")
-    if not M > 0 or (math.isfinite(f.sup_if) and M > f.sup_if):
+    if not 0 < M < f.sup_if:
         raise DomainError(f"M = {M} outside I_f = (0, {f.sup_if})")
     c = normalization_constant(sf, f, M, opts)
     rows = [_scan_row(sf, f, M, R, c, opts) for R in R_grid]

@@ -2,6 +2,8 @@
 
 import pytest
 
+from radcomp.errors import SolveFailure
+
 
 def fd_residual(prof, b, r, h=2e-3):
     """|U'' + b U' + f(U)| with U'' from a five-point stencil on the dense
@@ -10,6 +12,15 @@ def fd_residual(prof, b, r, h=2e-3):
     d2 = (-prof.du(r + 2 * h) + 8 * prof.du(r + h)
           - 8 * prof.du(r - h) + prof.du(r - 2 * h)) / (12 * h)
     return abs(d2 + b(r) * prof.du(r) + prof.f(prof.u(r)))
+
+
+def solve_or_failure(solve, *args):
+    """The profile that `solve(*args)` returns, or the failed one that its
+    exception carries."""
+    try:
+        return solve(*args)
+    except SolveFailure as e:
+        return e.profile
 
 
 class _Given(Exception):

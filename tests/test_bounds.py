@@ -12,6 +12,8 @@ from radcomp import (CauchyData, ComparisonPair, SolveOptions, SpaceForm, affine
                      serrin_fk, serrin_lower_bound, solve_profile)
 from radcomp.errors import DomainError
 
+from solver_checks import solve_or_failure
+
 
 def flat_pair(n=3, M=1.0):
     prof = solve_profile(SpaceForm(n, 0.0), constant(1.0), CauchyData(0.0, M))
@@ -287,8 +289,8 @@ def test_bound_report_schema():
 
 
 def test_pair_requires_admissible_profile():
-    prof = solve_profile(SpaceForm(3, 0.0), constant(1e-3), CauchyData(0.0, 1.0),
-                         SolveOptions(r_max_cap=10.0), strict=False)
+    prof = solve_or_failure(solve_profile, SpaceForm(3, 0.0), constant(1e-3),
+                            CauchyData(0.0, 1.0), SolveOptions(r_max_cap=10.0))
     with pytest.raises(DomainError):
         ComparisonPair(prof, "plus")
     good = flat_pair()

@@ -11,6 +11,8 @@ from radcomp import (CauchyData, SerrinExplicit, HelmholtzS3, SolveOptions,
                      solve_profile)
 from radcomp.errors import DomainError
 
+from solver_checks import solve_or_failure
+
 
 # -- flat profile ---------------------------------------------------------------
 
@@ -43,9 +45,8 @@ def test_serrin_explicit_agrees_with_integrator():
     # not admissible (f(M) < 0), but still the unique Cauchy solution
     sf = SpaceForm(2, -1.0)
     sol = SerrinExplicit(sf, 1.0, 1.0)
-    prof = solve_profile(sf, serrin_fk(2, -1.0), CauchyData(1.0, 1.0),
-                         SolveOptions(rtol=1e-12, atol=1e-14, r_max_cap=2.5),
-                         strict=False)
+    prof = solve_or_failure(solve_profile, sf, serrin_fk(2, -1.0), CauchyData(1.0, 1.0),
+                            SolveOptions(rtol=1e-12, atol=1e-14, r_max_cap=2.5))
     rs = np.linspace(0.05, 3.0, 25)
     err = max(abs(sol.u(r) - prof.u(r)) for r in rs if prof.r_lo <= r <= prof.r_hi)
     assert err < 1e-7

@@ -12,13 +12,15 @@ from radcomp import (CauchyData, HelmholtzS3, Nonlinearity, SerrinExplicit, Solv
                      solve_generic, solve_profile, polynomial)
 from radcomp import ode
 from radcomp.closedform import _g_integrand
-from radcomp.errors import DomainError, NoZeroFound, NotAdmissible, QuadratureError, StepFailure
+from radcomp.errors import (DomainError, NoZeroFound, NotAdmissible, QuadratureError,
+                            SolveFailure, StepFailure)
 from radcomp.ode import (_GROWTH, _WG, _XGK, _ZERO_FLOOR, _ZERO_TOL, FailureCode,
                          SolveStats, _eval_piece, _event_root, _leg_pieces, _qk21, _quartic,
                          _run_leg, bracketed_newton, gauss_kronrod)
 from radcomp.spaceform import _SERIES_CUT
 
-from solver_checks import assert_residue_is_the_limit, fd_residual, given_residues
+from solver_checks import (assert_residue_is_the_limit, fd_residual, given_residues,
+                           solve_or_failure)
 
 EPS = np.finfo(float).eps
 
@@ -197,12 +199,12 @@ def test_singular_start_degenerate_forcing():
     strict maximum."""
     sf = SpaceForm(3, 0.0)
     opts = SolveOptions(r_max_cap=5.0)
-    prof = solve_profile(sf, constant(0.0), CauchyData(0.0, 1.0), opts, strict=False)
+    with pytest.raises(NotAdmissible) as exc:
+        solve_profile(sf, constant(0.0), CauchyData(0.0, 1.0), opts)
+    prof = exc.value.profile
     start = prof._legs[0][0]
     assert start[0] == ode._EPS_START and start[2] == 1.0 and start[3] == 0.0
     assert prof.failure_code is FailureCode.NOT_ADMISSIBLE
-    with pytest.raises(NotAdmissible):
-        solve_profile(sf, constant(0.0), CauchyData(0.0, 1.0), opts)
 
 
 def test_solve_generic_matches_radial_bitwise():
@@ -271,10 +273,10 @@ def test_no_zero_found_at_singular_endpoint():
     assert prof.failure_code is FailureCode.NO_ZERO and prof.r_plus is None
 
 
-def test_nonstrict_returns_diagnostic_profile():
+def test_failed_solve_carries_diagnostic_profile():
     sf = SpaceForm(3, 0.0)
-    prof = solve_profile(sf, constant(1e-3), CauchyData(0.0, 1.0),
-                         SolveOptions(r_max_cap=10.0), strict=False)
+    prof = solve_or_failure(solve_profile, sf, constant(1e-3), CauchyData(0.0, 1.0),
+                            SolveOptions(r_max_cap=10.0))
     assert not prof.admissible and prof.r_plus is None
     assert prof.u(5.0) > 0  # dense data still available
 
@@ -442,7 +444,7 @@ def test_event_roots_match_brentq_on_the_step_quartic(k, n, family, R, depth):
     f = constant(1.0) if family == "constant" else serrin_fk(n, k)
     M = R * R * (depth / 2.0 - 0.25)
     assume(k >= 0 or family == "constant" or M < 1.0 / n)  # I_f = (0, 1/n)
-    prof = solve_profile(sf, f, CauchyData(R, M), strict=False)
+    prof = solve_or_failure(solve_profile, sf, f, CauchyData(R, M))
     checked = 0
     for steps in prof._legs:
         last = steps[-1]
@@ -620,12 +622,26 @@ def test_descending_leg_from_the_far_pole_locates_its_zero():
 def test_step_size_underflow_raises_step_failure(f):
     """Every trial step that reaches where f is not real is rejected, until
     the step size falls below the spacing of floats (at once when the
-    starting step is not finite). A non-strict solve returns the failure."""
-    with pytest.raises(StepFailure):
+    starting step is not finite). The exception carries the failed profile."""
+    with pytest.raises(StepFailure) as exc:
         solve_profile(SpaceForm(3, 1.0), f, CauchyData(0.9, 0.75))
-    prof = solve_profile(SpaceForm(3, 1.0), f, CauchyData(0.9, 0.75), strict=False)
+    prof = exc.value.profile
     assert not prof.admissible and prof.failure_code is FailureCode.STEP_FAILURE
     assert "spacing between floats" in prof.failure
+
+
+def test_step_failure_of_one_leg_keeps_the_other_leg():
+    """The far-pole draw of a tiny positive k: the outward leg underflows its
+    step next to r_bar, where cot_k loses its accuracy. The inward leg still
+    runs and finds its zero, and the raised StepFailure carries both."""
+    sf = SpaceForm(2, 5.960464477539063e-08)
+    with pytest.raises(StepFailure) as exc:
+        solve_profile(sf, constant(1.0), CauchyData(sf.r_bar - 4.1e-3, 0.02))
+    prof = exc.value.profile
+    assert prof.failure_code is FailureCode.STEP_FAILURE and not prof.admissible
+    assert str(exc.value) == prof.failure and "spacing between floats" in prof.failure
+    assert prof.r_plus is None and prof.r_minus == pytest.approx(12867.68, abs=1e-2)
+    assert abs(prof.u(prof.r_minus)) < 1e-12
 
 
 # -- zero-location error estimates against closed forms ------------------------------
@@ -673,7 +689,8 @@ def test_zero_error_estimate_flat_ball(n, M):
 @settings(max_examples=20, deadline=None)
 def test_zero_error_estimate_helmholtz_s3(lam, beta, R, M):
     assume(lam * M + beta > 0.05)
-    prof = solve_profile(SpaceForm(3, 1.0), affine(lam, beta), CauchyData(R, M), strict=False)
+    prof = solve_or_failure(solve_profile, SpaceForm(3, 1.0), affine(lam, beta),
+                            CauchyData(R, M))
     assume(prof.admissible)
     assert_zero_errors_bounded(prof, HelmholtzS3(lam, beta, R, M).u, 0.0,
                                math.nextafter(math.pi, 0.0))
@@ -692,7 +709,7 @@ def test_zero_error_estimate_serrin_explicit(k, n, x, y):
         # (1e-12 in its regularized integral) grows with cosh(r) and reaches
         # the size of the estimate near R = 4
         R, M = 0.3 + 2.7 * x, (0.05 + 0.9 * y) / n
-    prof = solve_profile(sf, serrin_fk(n, k), CauchyData(R, M), strict=False)
+    prof = solve_or_failure(solve_profile, sf, serrin_fk(n, k), CauchyData(R, M))
     assume(prof.admissible)  # for n = 2 and k < 0, large M and small R have no inner zero
     assert_zero_errors_bounded(prof, SerrinExplicit(sf, R, M).u, 0.0,
                                math.nextafter(sf.r_bar, 0.0))
@@ -728,10 +745,11 @@ def _core_radius(sf, where, t):
 @example(k=5.960464477539063e-08, n=2, family="constant", where="far", t=0.5, u=0.0)
 @settings(max_examples=150, deadline=None)
 def test_every_solve_is_admissible_or_diagnosed(k, family, n, where, t, u):
-    """A non-strict solve gives either an admissible profile, whose zeros
-    bracket the core and pass the solver's slope-scaled zero test, or a
-    typed failure with its explanation. A core radius too close to the pole
-    at 0 to resolve, but not on it, is refused before any solve."""
+    """A solve gives either an admissible profile, whose zeros bracket the
+    core and pass the solver's slope-scaled zero test, or raises the
+    exception that its failure code names, carrying the failed profile and
+    its explanation. A core radius too close to the pole at 0 to resolve,
+    but not on it, is refused before any solve."""
     sf = SpaceForm(n, k)
     f = {"constant": constant(1.0), "serrin_fk": serrin_fk(n, k),
          "affine": affine(-0.25, 2.5)}[family]
@@ -739,11 +757,16 @@ def test_every_solve_is_admissible_or_diagnosed(k, family, n, where, t, u):
     M = (0.02 + 0.96 * u) * min(f.sup_if, 3.0)  # inside I_f
     if _ZERO_FLOOR < R < 100.0 * _ZERO_FLOOR:
         with pytest.raises(DomainError, match="too close to the pole"):
-            solve_profile(sf, f, CauchyData(R, M), strict=False)
+            solve_profile(sf, f, CauchyData(R, M))
         return
-    prof = solve_profile(sf, f, CauchyData(R, M), strict=False)
-    if not prof.admissible:
-        assert isinstance(prof.failure_code, FailureCode) and prof.failure
+    try:
+        prof = solve_profile(sf, f, CauchyData(R, M))
+    except SolveFailure as e:
+        prof = e.profile
+        named = {FailureCode.NO_ZERO: NoZeroFound, FailureCode.NOT_ADMISSIBLE: NotAdmissible,
+                 FailureCode.STEP_FAILURE: StepFailure}[prof.failure_code]
+        assert type(e) is named
+        assert not prof.admissible and prof.failure and str(e) == prof.failure
         return
     assert prof.failure is None and prof.failure_code is None
     assert prof.r_minus is not None or prof.r_plus is not None

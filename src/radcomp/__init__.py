@@ -8,7 +8,7 @@ from .nonlinearity import (Nonlinearity, serrin_fk, affine, lane_emden, allen_ca
                            bratu, constant, polynomial, from_descriptor,
                            check_standard_conditions, check_derivative_bound,
                            check_tau_monotonicity_condition)
-from .ode import CauchyData, SolveOptions, ModelProfile, solve_profile, solve_generic
+from .ode import CauchyData, SolveOptions, ModelProfile, solve_profile
 from .tau import (TauTable, GapEstimate, normalization_constant, tau_scan,
                   gap_estimate, figure_gap_curve)
 from .bounds import (ComparisonPair, mu_sign_scan, mu_at_boundary, curvature_bounds,
@@ -28,7 +28,7 @@ __all__ = [
     "Nonlinearity", "serrin_fk", "affine", "lane_emden", "allen_cahn", "bratu", "constant",
     "polynomial", "from_descriptor", "check_standard_conditions", "check_derivative_bound",
     "check_tau_monotonicity_condition",
-    "CauchyData", "SolveOptions", "ModelProfile", "solve_profile", "solve_generic",
+    "CauchyData", "SolveOptions", "ModelProfile", "solve_profile",
     "TauTable", "GapEstimate", "normalization_constant", "tau_scan", "gap_estimate",
     "figure_gap_curve",
     "ComparisonPair", "mu_sign_scan", "mu_at_boundary", "curvature_bounds",

@@ -39,11 +39,11 @@ class ComparisonPair:
             raise DomainError(f"profile is not admissible: {profile.failure}")
         if sign == "minus" and profile.r_minus is None:
             raise DomainError("minus branch requires a positive core radius")
-        if profile.sf is None:
+        if not isinstance(profile.space, SpaceForm):
             raise DomainError("comparison pairs need the ambient space form")
         self.profile = profile
         self.sign = sign
-        self.sf: SpaceForm = profile.sf
+        self.sf: SpaceForm = profile.space
         self.R = profile.cauchy.R
         self.M = profile.cauchy.M
         lo, hi = profile.branch_interval(sign)

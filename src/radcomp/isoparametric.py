@@ -5,8 +5,9 @@ principal-curvature multiplicities, and the ambient dimension; the reduced
 equation lives on the leaf parameter s in (0, pi/ell) with first-order
 coefficient (n-1) cot(ell s) - c / (ell sin(ell s)), c = ell^2 (m2 - m1) / 2.
 Both endpoints are focal poles, with the residues m1 at s = 0 and m2 at
-s = pi/ell (by Muenzner's n - 1 = ell (m1 + m2) / 2); the solver is given
-them and starts there from its Taylor state.
+s = pi/ell (by Muenzner's n - 1 = ell (m1 + m2) / 2). A family states its
+equation as a space form states the radial one, by `coefficient`,
+`interval` and `residues`, so `ode.solve_profile` shoots both alike.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 
 from .errors import DomainError
 from .nonlinearity import Nonlinearity
-from .ode import CauchyData, ModelProfile, SolveOptions, solve_generic
+from .ode import CauchyData, ModelProfile, SolveOptions, solve_profile
 
 _ALLOWED_DEGREES = (1, 2, 3, 4, 6)
 # the multiplicities that degrees 3 (Cartan) and 6 (Abresch) allow, with m1 = m2
@@ -56,6 +57,14 @@ class IsoparametricFamily:
     def s_max(self) -> float:
         return math.pi / self.ell
 
+    @property
+    def interval(self) -> tuple:
+        return (0.0, self.s_max)
+
+    @property
+    def residues(self) -> tuple:
+        return (self.m1, self.m2)
+
     def coefficient(self, s: float) -> float:
         if not (0.0 < s < self.s_max):
             raise DomainError(f"leaf parameter {s} outside (0, pi/ell = {self.s_max})")
@@ -70,7 +79,6 @@ class IsoProfile:
     S: float
     M: float
     profile: ModelProfile
-    R_param: float          # cos(ell * S) in [-1, 1]
     domain: str             # leaf-band | focal-cap-plus | focal-cap-minus
 
     @property
@@ -96,23 +104,15 @@ def solve_iso_profile(family: IsoparametricFamily, f: Nonlinearity, S: float,
                       M: float, opts: SolveOptions = SolveOptions()) -> IsoProfile:
     """Shoot the reduced equation from Z(S) = M, Z'(S) = 0.
 
-    S = 0 and S = pi/ell start at a focal pole (singular startup with the
-    residue m1 or m2); interior S gives a band between two interior zeros.
-    A failed solve raises as in `solve_generic`, with the profile attached.
+    S at a focal pole (within the solver's tolerance) starts there with the
+    residue m1 or m2 and has one zero, on the side away from the pole;
+    interior S gives a band between two interior zeros. A failed solve
+    raises as in `solve_profile`, with the profile attached.
     """
-    smax = family.s_max
-    if not (0.0 <= S <= smax):
-        raise DomainError(f"focal parameter S = {S} outside [0, pi/ell = {smax}]")
-    cd = CauchyData(S, M)
-    prof = solve_generic(family.coefficient, f, cd, (0.0, smax), (family.m1, family.m2), opts)
-    if S == 0.0:
-        domain = "focal-cap-plus"
-    elif abs(S - smax) <= 1e-12 * smax:
-        domain = "focal-cap-minus"
-    else:
-        domain = "leaf-band"
-    return IsoProfile(family=family, f=f, S=float(S), M=float(M), profile=prof,
-                      R_param=math.cos(family.ell * S), domain=domain)
+    prof = solve_profile(family, f, CauchyData(S, M), opts)
+    domain = ("focal-cap-plus" if prof.r_minus is None else
+              "focal-cap-minus" if prof.r_plus is None else "leaf-band")
+    return IsoProfile(family=family, f=f, S=float(S), M=float(M), profile=prof, domain=domain)
 
 
 @dataclass(frozen=True)

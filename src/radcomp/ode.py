@@ -3,11 +3,11 @@
     U'' + b(r) U' + f(U) = 0,    U(R) = M, U'(R) = 0,
 
 with event detection for the zeros of U on both sides of the core radius R.
-The engine is generic in the first-order coefficient b, which may have simple
-poles at the interval endpoints (r = 0 for the radial equation, both focal
-radii for the isoparametric reduction); the caller passes their residues,
-which are known in closed form, and integration starts from a second-order
-Taylor state at a small offset from the pole.
+The equation is stated by a space: a `SpaceForm` (the radial equation) or an
+`IsoparametricFamily` (the reduction along its leaves) gives the coefficient
+b, the interval it lives on, and the residues of the simple poles of b at
+the interval's ends, which are known in closed form. Integration from a
+pole starts from a second-order Taylor state at a small offset from it.
 
 Each leg is integrated by the adaptive Dormand-Prince 5(4) pair on plain
 floats (Dormand & Prince 1980; step control, error norm and initial step as
@@ -29,7 +29,7 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -110,9 +110,8 @@ class ModelProfile:
     take a radius or an array of radii. `stats` counts the integrator's work.
     """
 
-    def __init__(self, b, f, cauchy, sf=None):
-        self.sf: Optional[SpaceForm] = sf
-        self.b = b
+    def __init__(self, space, f, cauchy):
+        self.space = space  # SpaceForm or IsoparametricFamily: the equation solved
         self.f = f
         self.cauchy = cauchy
         self.r_minus: Optional[float] = None
@@ -188,10 +187,11 @@ class ModelProfile:
         """U'' recovered from the equation itself."""
         if _is_scalar(r):
             u, du = self._state(float(r))
-            return -self.b(float(r)) * du - self.f(u)
+            return -self.space.coefficient(float(r)) * du - self.f(u)
         rs = np.asarray(r, dtype=float)
         us, dus = self._states(rs)
-        return np.array([-self.b(x) * dv - self.f(uv) for x, uv, dv in
+        b = self.space.coefficient
+        return np.array([-b(x) * dv - self.f(uv) for x, uv, dv in
                          zip(rs.ravel().tolist(), us.ravel().tolist(), dus.ravel().tolist())]
                         ).reshape(rs.shape)
 
@@ -226,9 +226,9 @@ class ModelProfile:
         }
         if self.failure:
             out["failure"] = self.failure
-        if self.sf is not None:
-            out["n"] = self.sf.n
-            out["k"] = self.sf.k
+        if isinstance(self.space, SpaceForm):
+            out["n"] = self.space.n
+            out["k"] = self.space.k
         out["f"] = self.f.describe()
         return out
 
@@ -582,33 +582,35 @@ def _run_leg(b, f, r0: float, u0: float, du0: float, target: float, opts: SolveO
     return _Leg(steps, end, _eval_piece(p, end), event, u_error(end), rejected_steps)
 
 
-def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
-                  interval: tuple, residues: tuple, opts: SolveOptions = SolveOptions(),
-                  sf: Optional[SpaceForm] = None) -> ModelProfile:
-    """Shoot from the Cauchy data in both directions inside `interval`.
+def solve_profile(space, f: Nonlinearity, cd: CauchyData,
+                  opts: SolveOptions = SolveOptions()) -> ModelProfile:
+    """Shoot from the Cauchy data in both directions inside the interval of
+    the equation U'' + b U' + f(U) = 0 that `space` states (a SpaceForm the
+    radial one, an IsoparametricFamily its reduction): b is
+    `space.coefficient`, on `space.interval` = (lo, hi).
 
     b may have a simple pole at either end of the interval: the lower end is
     always treated as one (a leg stops at the floor `_ZERO_FLOOR` above it,
     and a core there starts from the pole), and so is the upper end exactly
     when it is finite; an infinite upper end caps the outward leg at
-    `opts.r_max_cap` past R. `residues` gives the limits of (r - pole) b(r)
-    at the lower and the upper end, which are properties of the equation
-    and known in closed form; a core on a pole starts from the Taylor state
-    U = M - f(M) d^2 / (2 (1 + residue)), d = r - pole, and an interior core
-    from the same state with residue 0. Every leg runs, also after a step
-    failure of the other. A solve that is not admissible raises the
-    exception of its failure code (NoZeroFound, NotAdmissible, StepFailure);
-    its `profile` has `.failure_code` and `.failure`, the diagnostics of the
-    failed legs joined by "; ".
+    `opts.r_max_cap` past R. `space.residues` gives the limits of
+    (r - pole) b(r) at the lower and the upper end, which are properties of
+    the equation and known in closed form; a core on a pole starts from the
+    Taylor state U = M - f(M) d^2 / (2 (1 + residue)), d = r - pole, and an
+    interior core from the same state with residue 0. Every leg runs, also
+    after a step failure of the other. A solve that is not admissible raises
+    the exception of its failure code (NoZeroFound, NotAdmissible,
+    StepFailure); its `profile` has `.failure_code` and `.failure`, the
+    diagnostics of the failed legs joined by "; ".
     """
-    lo, hi = float(interval[0]), float(interval[1])
+    b, (lo, hi), residues = space.coefficient, space.interval, space.residues
     R, M = cd.R, cd.M
     hi_pole = math.isfinite(hi)
     at_hi_pole = hi_pole and abs(R - hi) <= 1e-12 * max(1.0, abs(hi))
     if not (lo <= R < hi) and not at_hi_pole:
         raise DomainError(f"core radius {R} outside the interval [{lo}, {hi})")
 
-    prof = ModelProfile(b, f, cd, sf=sf)
+    prof = ModelProfile(space, f, cd)
     eps = _EPS_START * min(1.0, hi - lo)
 
     at_lo_pole = abs(R - lo) <= _ZERO_FLOOR
@@ -696,12 +698,3 @@ def solve_generic(b: Callable[[float], float], f: Nonlinearity, cd: CauchyData,
         raise _FAILURE_EXCEPTIONS[prof.failure_code](prof.failure, profile=prof)
     prof.admissible = True
     return prof
-
-
-def solve_profile(sf: SpaceForm, f: Nonlinearity, cd: CauchyData,
-                  opts: SolveOptions = SolveOptions()) -> ModelProfile:
-    """Radial model profile on the space form (coefficient (n-1) cot_k)."""
-    if sf.k > 0 and not (0 <= cd.R < sf.r_bar):
-        raise DomainError(f"core radius {cd.R} outside [0, r_bar = {sf.r_bar})")
-    return solve_generic(sf.radial_coefficient, f, cd, (0.0, sf.r_bar),
-                         (sf.n - 1, sf.n - 1), opts, sf=sf)

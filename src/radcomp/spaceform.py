@@ -78,9 +78,10 @@ class SpaceForm:
 
     r_bar is pi/sqrt(k) for k > 0 and +inf otherwise; every range check in
     the toolkit goes through it. `cotk(r)` = s_k'(r) / s_k(r) and
-    `radial_coefficient(r)` = (n - 1) cot_k(r), the first-order coefficient of
-    the radial equation, are functions built at construction (`_cot_kernel`):
-    SingularityError at r <= 0, DomainError at r >= r_bar.
+    `coefficient(r)` = (n - 1) cot_k(r) are functions built at construction
+    (`_cot_kernel`): SingularityError at r <= 0, DomainError at r >= r_bar.
+    The radial equation U'' + coefficient U' + f(U) = 0 lives on `interval`
+    = (0, r_bar), with the pole `residues` (n - 1, n - 1) at its two ends.
     """
 
     n: int
@@ -88,8 +89,9 @@ class SpaceForm:
     r_bar: float = field(init=False)
     _sqrt_abs_k: float = field(init=False, repr=False, compare=False)
     cotk: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    radial_coefficient: Callable[[float], float] = field(init=False, repr=False,
-                                                         compare=False)
+    coefficient: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    interval: tuple = field(init=False, repr=False, compare=False)
+    residues: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
@@ -102,8 +104,9 @@ class SpaceForm:
         object.__setattr__(self, "_sqrt_abs_k", s)
         object.__setattr__(self, "r_bar", math.pi / s if self.k > 0 else math.inf)
         object.__setattr__(self, "cotk", _cot_kernel(self.k, s, self.r_bar, 1))
-        object.__setattr__(self, "radial_coefficient",
-                           _cot_kernel(self.k, s, self.r_bar, self.n - 1))
+        object.__setattr__(self, "coefficient", _cot_kernel(self.k, s, self.r_bar, self.n - 1))
+        object.__setattr__(self, "interval", (0.0, self.r_bar))
+        object.__setattr__(self, "residues", (self.n - 1, self.n - 1))
 
     def __reduce__(self):
         # the kernels are closures, which do not pickle; rebuild them instead

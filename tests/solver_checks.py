@@ -1,6 +1,7 @@
 """Checks shared by the test modules of the solvers."""
 
-import pytest
+import math
+from typing import Callable, NamedTuple
 
 from radcomp.errors import SolveFailure
 
@@ -23,20 +24,16 @@ def solve_or_failure(solve, *args):
         return e.profile
 
 
-class _Given(Exception):
-    """Raised by `solve_generic_spy` with the residues a solver was given."""
+class Equation(NamedTuple):
+    """An equation written out for `solve_profile`, as a SpaceForm or an
+    IsoparametricFamily states theirs: U'' + coefficient U' + f(U) = 0 on
+    `interval`, with the pole `residues` at its two ends."""
+    coefficient: Callable[[float], float]
+    interval: tuple
+    residues: tuple
 
 
-def solve_generic_spy(b, f, cd, interval, residues, *args, **kwargs):
-    raise _Given(residues)
-
-
-def given_residues(monkeypatch, module, solve):
-    """The residues that `solve()` hands to `solve_generic`, as `module` calls it."""
-    monkeypatch.setattr(module, "solve_generic", solve_generic_spy)
-    with pytest.raises(_Given) as exc:
-        solve()
-    return exc.value.args[0]
+NO_DRIFT = Equation(lambda r: 0.0, (0.0, math.inf), (0.0, 0.0))  # b = 0 on [0, inf)
 
 
 def assert_residue_is_the_limit(b, pole, side, residue, curvature):

@@ -7,10 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from radcomp import (CauchyData, IsoparametricFamily, SolveOptions, SpaceForm,
                      allen_cahn, constant, descent_check, solve_iso_profile,
                      solve_profile)
-from radcomp import isoparametric
 from radcomp.errors import DomainError
 
-from solver_checks import assert_residue_is_the_limit, fd_residual, given_residues
+from solver_checks import assert_residue_is_the_limit, fd_residual
 
 
 def test_family_validation():
@@ -55,16 +54,14 @@ def test_coefficient_values():
 @pytest.mark.parametrize("ell, m1, m2, n", [(1, 2, 2, 3), (2, 1, 1, 3), (2, 1, 3, 5),
                                              (3, 1, 1, 4), (4, 1, 2, 7), (4, 2, 5, 15),
                                              (6, 1, 1, 7)])
-def test_focal_residues_are_the_limits_at_both_poles(monkeypatch, ell, m1, m2, n):
-    """solve_iso_profile gives m1 at s = 0 and m2 at s = pi/ell, the limits of
+def test_focal_residues_are_the_limits_at_both_poles(ell, m1, m2, n):
+    """A family states m1 at s = 0 and m2 at s = pi/ell, the limits of
     (s - pole) times the coefficient; (4, 2, 5, 15) tells the two apart."""
     fam = IsoparametricFamily(ell, m1, m2, n)
-    residues = given_residues(monkeypatch, isoparametric, lambda: solve_iso_profile(
-        fam, constant(1.0), 0.0, 0.1))
-    assert residues == (m1, m2)
+    assert fam.residues == (m1, m2) and fam.interval == (0.0, fam.s_max)
     curvature = ell * ell * n
-    assert_residue_is_the_limit(fam.coefficient, 0.0, +1, residues[0], curvature)
-    assert_residue_is_the_limit(fam.coefficient, fam.s_max, -1, residues[1], curvature)
+    assert_residue_is_the_limit(fam.coefficient, 0.0, +1, fam.residues[0], curvature)
+    assert_residue_is_the_limit(fam.coefficient, fam.s_max, -1, fam.residues[1], curvature)
 
 
 @given(m=st.integers(1, 3), t=st.floats(0.05, 0.95), q=st.floats(0.01, 1.0))
@@ -90,7 +87,6 @@ def test_band_profile_and_admissibility():
     fam = IsoparametricFamily(2, 1, 1, 3)
     iso = solve_iso_profile(fam, constant(1.0), math.pi / 4, 0.1)
     assert iso.domain == "leaf-band"
-    assert iso.R_param == pytest.approx(0.0, abs=1e-15)
     assert 0 < iso.s_minus < math.pi / 4 < iso.s_plus < math.pi / 2
     assert iso.admissible
     # derivative changes sign only at the core leaf

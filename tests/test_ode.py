@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from radcomp import (CauchyData, HelmholtzS3, Nonlinearity, SerrinExplicit, SolveOptions,
                      SpaceForm, affine, allen_cahn, constant, serrin_fk, serrin_flat_radius,
-                     solve_generic, solve_profile, polynomial)
+                     solve_profile, polynomial)
 from radcomp import ode
 from radcomp.closedform import _g_integrand
 from radcomp.errors import (DomainError, NoZeroFound, NotAdmissible, QuadratureError,
@@ -19,7 +19,7 @@ from radcomp.ode import (_GROWTH, _WG, _XGK, _ZERO_FLOOR, _ZERO_TOL, FailureCode
                          _run_leg, bracketed_newton, gauss_kronrod)
 from radcomp.spaceform import _SERIES_CUT
 
-from solver_checks import (assert_residue_is_the_limit, fd_residual, given_residues,
+from solver_checks import (NO_DRIFT, Equation, assert_residue_is_the_limit, fd_residual,
                            solve_or_failure)
 
 EPS = np.finfo(float).eps
@@ -123,7 +123,7 @@ def test_ode_residual_of_dense_output():
     h = 1e-3
     rs = np.concatenate([np.linspace(prof.r_minus + 0.05, 1.0 - 5 * h, 12),
                          np.linspace(1.0 + 5 * h, prof.r_plus - 0.05, 12)])
-    worst = max(fd_residual(prof, sf.radial_coefficient, r, h) for r in rs)
+    worst = max(fd_residual(prof, sf.coefficient, r, h) for r in rs)
     assert worst < 1e-8
 
 
@@ -151,16 +151,14 @@ def test_event_convergence_under_tol_halving():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 @pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
-def test_radial_residues_are_the_limits_at_both_poles(monkeypatch, n, k):
-    """solve_profile gives n - 1 at r = 0 and at r_bar; (n - 1) r cot_k(r) =
+def test_radial_residues_are_the_limits_at_both_poles(n, k):
+    """A space form states n - 1 at r = 0 and at r_bar; (n - 1) r cot_k(r) =
     (n - 1) (1 - k r^2 / 3 + ...) tends to it at both poles."""
     sf = SpaceForm(n, k)
-    residues = given_residues(monkeypatch, ode, lambda: solve_profile(
-        sf, constant(1.0), CauchyData(0.0, 1.0)))
-    assert residues == (n - 1, n - 1)
-    assert_residue_is_the_limit(sf.radial_coefficient, 0.0, +1, residues[0], n * abs(k))
+    assert sf.residues == (n - 1, n - 1) and sf.interval == (0.0, sf.r_bar)
+    assert_residue_is_the_limit(sf.coefficient, 0.0, +1, sf.residues[0], n * abs(k))
     if k > 0:
-        assert_residue_is_the_limit(sf.radial_coefficient, sf.r_bar, -1, residues[1], n * k)
+        assert_residue_is_the_limit(sf.coefficient, sf.r_bar, -1, sf.residues[1], n * k)
 
 
 def test_far_pole_startup_slope_is_exact():
@@ -170,8 +168,7 @@ def test_far_pole_startup_slope_is_exact():
     by 2.3e-8, which moves this slope by 6e-9."""
     n, M = 4, 0.5
     sf, f = SpaceForm(n, 1e-8), constant(1.0)
-    prof = solve_generic(sf.radial_coefficient, f, CauchyData(sf.r_bar, M),
-                         (0.0, sf.r_bar), (n - 1.0, n - 1.0))
+    prof = solve_profile(sf, f, CauchyData(sf.r_bar, M))
     assert prof.admissible and prof.r_hi == sf.r_bar
     patch_lo = prof._taylor[1]
     assert sf.r_bar - patch_lo == pytest.approx(ode._EPS_START, rel=1e-9)
@@ -212,7 +209,7 @@ def test_solve_generic_matches_radial_bitwise():
     f = serrin_fk(3, 1.0)
     cd = CauchyData(1.0, 1.0)
     p1 = solve_profile(sf, f, cd)
-    p2 = solve_generic(lambda r: 2.0 * sf.cotk(r), f, cd, (0.0, sf.r_bar), (2.0, 2.0))
+    p2 = solve_profile(Equation(lambda r: 2.0 * sf.cotk(r), (0.0, sf.r_bar), (2.0, 2.0)), f, cd)
     assert p1.r_plus == p2.r_plus and p1.r_minus == p2.r_minus
     for r in np.linspace(p1.r_minus, p1.r_plus, 23):
         assert p1.u(r) == p2.u(r)
@@ -221,7 +218,7 @@ def test_solve_generic_matches_radial_bitwise():
 def test_solve_generic_no_drift():
     # b = 0: U = M - f (r - R)^2 / 2 exactly
     f = constant(1.0)
-    prof = solve_generic(lambda r: 0.0, f, CauchyData(2.0, 1.0), (0.0, math.inf), (0.0, 0.0))
+    prof = solve_profile(NO_DRIFT, f, CauchyData(2.0, 1.0))
     assert prof.r_plus == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-10)
     assert prof.r_minus == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-10)
     for r in np.linspace(prof.r_minus, prof.r_plus, 17):
@@ -232,8 +229,8 @@ def test_solve_generic_refuses_a_residue_not_above_minus_one():
     """The start from a pole divides by 1 + residue."""
     for residues in ((-1.0, 0.0), (math.nan, 0.0)):
         with pytest.raises(DomainError, match="residue"):
-            solve_generic(lambda r: -1.0 / r, constant(1.0), CauchyData(0.0, 1.0),
-                          (0.0, math.inf), residues)
+            solve_profile(Equation(lambda r: -1.0 / r, (0.0, math.inf), residues),
+                          constant(1.0), CauchyData(0.0, 1.0))
 
 
 def test_no_zero_found_at_cap():
@@ -364,7 +361,7 @@ def test_each_stage_node_is_evaluated_once():
 
     def b(r):
         calls["b"] += 1
-        return sf.radial_coefficient(r)
+        return sf.coefficient(r)
 
     def g(u):
         calls["f"] += 1
@@ -604,8 +601,7 @@ def test_descending_leg_from_the_far_pole_locates_its_zero():
     r_bar - r_plus of the centered profile."""
     sf, f, M = SpaceForm(3, 1.0), serrin_fk(3, 1.0), 0.7
     centered = solve_profile(sf, f, CauchyData(0.0, M))
-    far = solve_generic(sf.radial_coefficient, f, CauchyData(sf.r_bar, M), (0.0, sf.r_bar),
-                        (2.0, 2.0))
+    far = solve_profile(sf, f, CauchyData(sf.r_bar, M))
     assert far.admissible and far.r_plus is None
     assert abs(far.r_minus - (sf.r_bar - centered.r_plus)) < 1e-9
     assert far.dU_minus == pytest.approx(-centered.dU_plus, rel=1e-8)
@@ -669,8 +665,7 @@ def assert_zero_errors_bounded(prof, u, lo, hi):
 def test_zero_error_estimate_flat_quadratic(M, gap):
     # b = 0, f = 1: U = M - (r - R)^2 / 2 with zeros R -+ sqrt(2 M)
     R = math.sqrt(2.0 * M) + gap
-    prof = solve_generic(lambda r: 0.0, constant(1.0), CauchyData(R, M), (0.0, math.inf),
-                         (0.0, 0.0))
+    prof = solve_profile(NO_DRIFT, constant(1.0), CauchyData(R, M))
     assert prof.r_minus is not None
     assert_zero_errors_bounded(prof, lambda r: M - (r - R) ** 2 / 2.0, 0.0, math.inf)
 

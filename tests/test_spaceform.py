@@ -136,7 +136,7 @@ def test_cotk_is_dsk_over_sk_bitwise(k, n, where, t):
     r = _radius(sf, where, t)
     assume(0.0 < r < sf.r_bar)
     assert sf.cotk(r) == sf.dsk(r) / sf.sk(r)
-    assert sf.radial_coefficient(r) == (sf.n - 1) * sf.cotk(r)
+    assert sf.coefficient(r) == (sf.n - 1) * sf.cotk(r)
 
 
 @given(k=st.one_of(st.floats(-5.0, -1e-12), st.just(0.0), st.floats(1e-12, 5.0)),
@@ -146,7 +146,7 @@ def test_cotk_range_errors(k, t):
     """SingularityError at r <= 0 and DomainError (not its pole subclass) at
     r >= r_bar, from cot_k and from the radial coefficient alike."""
     sf = SpaceForm(3, k)
-    for fn in (sf.cotk, sf.radial_coefficient):
+    for fn in (sf.cotk, sf.coefficient):
         for r in (0.0, -0.0, -t, -5e-324):
             with pytest.raises(SingularityError):
                 fn(r)
@@ -168,16 +168,16 @@ def test_space_form_is_a_plain_value():
     assert len({a, b, c}) == 2
     assert repr(a) == f"SpaceForm(n=3, k=1.0, r_bar={math.pi!r})"
     assert repr(SpaceForm(2, -1.0)) == "SpaceForm(n=2, k=-1.0, r_bar=inf)"
-    assert a.cotk is not c.cotk and a.radial_coefficient is not c.radial_coefficient
+    assert a.cotk is not c.cotk and a.coefficient is not c.coefficient
     assert a.cotk(0.5) != c.cotk(0.5)
     r = 0.7
     for other in (copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
         assert other == c and repr(other) == repr(c)
         assert other.cotk(r) == c.cotk(r)
-        assert other.radial_coefficient(r) == c.radial_coefficient(r)
+        assert other.coefficient(r) == c.coefficient(r)
     moved = dataclasses.replace(a, k=4.0)
     assert moved == c and moved.r_bar == c.r_bar
     assert moved.cotk(r) == c.cotk(r) and moved.cotk is not a.cotk
-    assert dataclasses.replace(a, n=5).radial_coefficient(r) == 4 * a.cotk(r)
+    assert dataclasses.replace(a, n=5).coefficient(r) == 4 * a.cotk(r)
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.k = 4.0

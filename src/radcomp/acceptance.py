@@ -140,9 +140,9 @@ def crit_ordering():
     n = 3
     sf = SpaceForm(n, -1.0)
     f = serrin_fk(n, -1.0)
-    tb = tau_scan(sf, f, 0.25, np.linspace(0.3, 12.0, 25))
-    _check(tb.tau_plus_sup <= tb.tau_minus_inf + 1e-8, msgs,
-           f"k=-1: max tau_plus {tb.tau_plus_sup} > min tau_minus {tb.tau_minus_inf}")
+    plus, minus = tau_scan(sf, f, 0.25, np.linspace(0.3, 12.0, 25)).images
+    _check(plus[1] <= minus[0] + 1e-8, msgs,
+           f"k=-1: max tau_plus {plus[1]} > min tau_minus {minus[0]}")
 
     sf1 = SpaceForm(n, 1.0)
     f1 = serrin_fk(n, 1.0)
@@ -153,7 +153,7 @@ def crit_ordering():
     tb1 = tau_scan(sf1, f1, 1.0, np.linspace(0.0, 2.9, 15))
     est = gap_estimate(tb1)
     _check(est.gap == [], msgs, f"k=1: gap = {est.gap} not empty")
-    detail = (f"k=-1 ordering margin {tb.tau_minus_inf - tb.tau_plus_sup:.3f}; "
+    detail = (f"k=-1 ordering margin {minus[0] - plus[1]:.3f}; "
               f"k=1 symmetry defect {gap_sym:.1e}, gap empty")
     return not msgs, detail if not msgs else "; ".join(msgs)
 

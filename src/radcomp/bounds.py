@@ -255,7 +255,7 @@ class HotspotBounds:
     raw: float
     normalized: float
     strict: bool
-    distance_bound: Optional[float] = None
+    distance_bound: Optional[float]
 
 
 def hotspot_bounds(pair: ComparisonPair, r_Omega: Optional[float] = None) -> HotspotBounds:

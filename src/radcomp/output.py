@@ -45,12 +45,9 @@ def dumps_json(obj) -> str:
     return json.dumps(_jsonify(obj), sort_keys=True, separators=(",", ":"))
 
 
-def csv_lines(columns, rows, header_obj=None):
-    """Rows of 17-digit CSV with an optional '# {json}' header line."""
-    lines = []
-    if header_obj is not None:
-        lines.append("# " + dumps_json(header_obj))
-    lines.append(",".join(columns))
+def csv_lines(columns, rows, header_obj):
+    """Rows of 17-digit CSV after a '# {json}' header line."""
+    lines = ["# " + dumps_json(header_obj), ",".join(columns)]
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
     return lines
@@ -67,7 +64,7 @@ def _dense_rows(profile, lo, hi, npoints):
     return zip(xs.tolist(), profile.u(xs).tolist(), profile.du(xs).tolist())
 
 
-def profile_csv_lines(profile, npoints: int = 401):
+def profile_csv_lines(profile, npoints: int):
     """r, U, dU on a uniform grid over the computed support, with the exact
     boundary radii included, preceded by the JSON summary header."""
     lo = profile.r_minus if profile.r_minus is not None else profile.r_lo
@@ -79,7 +76,7 @@ def profile_csv_lines(profile, npoints: int = 401):
 def tau_csv_lines(table):
     rows = [(row.R, row.tau_plus, row.tau_minus, row.r_minus, row.r_plus)
             for row in table.rows]
-    header = {"n": table.sf.n, "k": table.sf.k, "M": table.M,
+    header = {"n": table.space.n, "k": table.space.k, "M": table.M,
               "c_norm": table.c_norm, "f": table.f.describe()}
     return csv_lines(("R", "tau_plus", "tau_minus", "r_minus", "r_plus"),
                      rows, header_obj=header)
@@ -88,7 +85,7 @@ def tau_csv_lines(table):
 def gap_json(table, est) -> dict:
     return {
         "c_norm": table.c_norm,
-        "tau0": table.tau0,
+        "tau0": table.images[0][0],
         "adm": est.adm,
         "gap": est.gap,
         "method": est.method,
@@ -96,7 +93,7 @@ def gap_json(table, est) -> dict:
     }
 
 
-def iso_csv_lines(iso, npoints: int = 401):
+def iso_csv_lines(iso, npoints: int):
     prof = iso.profile
     lo = iso.s_minus if iso.s_minus is not None else prof.r_lo
     hi = iso.s_plus if iso.s_plus is not None else prof.r_hi

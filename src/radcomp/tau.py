@@ -6,7 +6,7 @@ radius, and the admissible-set / gap estimation built on top of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,45 +25,37 @@ _FLAT_ROWS = 6         # annular rows of each flat tail's extrapolation in 1/R
 @dataclass
 class TauRow:
     R: float
-    tau_plus: float = math.nan
-    tau_minus: float = math.nan
-    r_minus: float = math.nan
-    r_plus: float = math.nan
-    dU_minus: float = math.nan
-    dU_plus: float = math.nan
-    ok: bool = False
-    diagnostic: Optional[str] = None
+    tau_plus: float
+    tau_minus: float
+    r_minus: float
+    r_plus: float
+    dU_minus: float
+    dU_plus: float
+    ok: bool
+    diagnostic: Optional[str]
 
 
 @dataclass
 class TauTable:
-    sf: SpaceForm
+    space: object  # a SpaceForm, or an IsoparametricFamily with its leaf parameter
     f: Nonlinearity
     M: float
     c_norm: float
-    rows: list = field(default_factory=list)
+    rows: list
 
     @property
     def ok_rows(self):
         return [row for row in self.rows if row.ok]
 
     @property
-    def tau0(self) -> float:
-        """Infimum of the sampled tau_plus curve."""
-        vals = [row.tau_plus for row in self.ok_rows if math.isfinite(row.tau_plus)]
-        if not vals:
-            raise NumericalError("no successful rows in the tau table")
-        return min(vals)
-
-    @property
-    def tau_plus_sup(self) -> float:
-        vals = [row.tau_plus for row in self.ok_rows if math.isfinite(row.tau_plus)]
-        return max(vals) if vals else math.nan
-
-    @property
-    def tau_minus_inf(self) -> float:
-        vals = [row.tau_minus for row in self.ok_rows if math.isfinite(row.tau_minus)]
-        return min(vals) if vals else math.nan
+    def images(self) -> tuple:
+        """The sampled images [min, max] of tau_plus and of tau_minus over
+        the successful rows; None for a curve with no finite sample."""
+        def image(vals):
+            vals = [v for v in vals if math.isfinite(v)]
+            return [min(vals), max(vals)] if vals else None
+        rows = self.ok_rows
+        return (image(row.tau_plus for row in rows), image(row.tau_minus for row in rows))
 
 
 @dataclass
@@ -71,49 +63,46 @@ class GapEstimate:
     adm: list                 # one or two [lo, hi] closed intervals (numerical closure)
     gap: list                 # [] (empty), [v] (point), or [lo, hi]
     method: str               # exact-symmetry | asymptote-fit | single-point
-    asymptote_data: Optional[dict] = None
+    asymptote_data: Optional[dict]
 
 
-def normalization_constant(sf: SpaceForm, f: Nonlinearity, M: float,
+def normalization_constant(space, f: Nonlinearity, M: float,
                            opts: SolveOptions = SolveOptions()) -> float:
-    """Squared boundary gradient of the centered profile, U'(r_plus(0,M))^2."""
-    prof = solve_profile(sf, f, CauchyData(0.0, M), opts)
+    """Squared boundary gradient of the profile with its core at 0, the lower
+    end of the space's interval: U'(r_plus(0,M))^2 of the centered radial
+    profile, or of the focal cap at s = 0 on an isoparametric family."""
+    prof = solve_profile(space, f, CauchyData(0.0, M), opts)
     return prof.dU_plus ** 2
 
 
-def _scan_row(sf, f, M, R, c, opts) -> TauRow:
-    row = TauRow(R=float(R))
+def _scan_row(space, f, M, R, c, opts) -> TauRow:
     try:
-        prof = solve_profile(sf, f, CauchyData(float(R), M), opts)
+        prof = solve_profile(space, f, CauchyData(float(R), M), opts)
     except SolveFailure as e:
         prof = e.profile
-    if prof.r_plus is not None:
-        row.r_plus, row.dU_plus = prof.r_plus, prof.dU_plus
-        row.tau_plus = prof.dU_plus ** 2 / c
-    if prof.r_minus is not None:
-        row.r_minus, row.dU_minus = prof.r_minus, prof.dU_minus
-        row.tau_minus = prof.dU_minus ** 2 / c
-    row.ok = prof.admissible
-    row.diagnostic = prof.failure
-    return row
+    nan = math.nan
+    r_minus, dU_minus = (nan, nan) if prof.r_minus is None else (prof.r_minus, prof.dU_minus)
+    r_plus, dU_plus = (nan, nan) if prof.r_plus is None else (prof.r_plus, prof.dU_plus)
+    return TauRow(R=float(R), tau_plus=dU_plus ** 2 / c, tau_minus=dU_minus ** 2 / c,
+                  r_minus=r_minus, r_plus=r_plus, dU_minus=dU_minus, dU_plus=dU_plus,
+                  ok=prof.admissible, diagnostic=prof.failure)
 
 
-def tau_scan(sf: SpaceForm, f: Nonlinearity, M: float, R_grid,
+def tau_scan(space, f: Nonlinearity, M: float, R_grid,
              opts: SolveOptions = SolveOptions()) -> TauTable:
-    """One profile solve per grid radius; failed radii keep their diagnostic."""
+    """One profile solve per grid radius of the space's interval (a core
+    position S on an isoparametric family); failed radii keep their
+    diagnostic. The first radius outside the interval raises the solver's
+    DomainError."""
     R_grid = np.asarray(R_grid, dtype=float)
     if R_grid.size == 0:
         raise DomainError("empty R grid")
-    if sf.k > 0 and np.any(R_grid >= sf.r_bar):
-        raise DomainError("R grid must stay strictly below r_bar for k > 0")
-    if np.any(R_grid < 0):
-        raise DomainError("core radii must be nonnegative")
     if not 0 < M < f.sup_if:
         raise DomainError(f"M = {M} outside I_f = (0, {f.sup_if})")
-    c = normalization_constant(sf, f, M, opts)
-    rows = [_scan_row(sf, f, M, R, c, opts) for R in R_grid]
+    c = normalization_constant(space, f, M, opts)
+    rows = [_scan_row(space, f, M, R, c, opts) for R in R_grid]
 
-    table = TauTable(sf=sf, f=f, M=M, c_norm=c, rows=rows)
+    table = TauTable(space=space, f=f, M=M, c_norm=c, rows=rows)
     if not table.ok_rows:
         raise NumericalError("all rows of the tau scan failed")
     return table
@@ -192,23 +181,26 @@ def gap_estimate(table: TauTable) -> GapEstimate:
     and `adm` is [min tau_plus, min(lp, g)] and [max(lm, g), max tau_minus];
     when these touch, they are returned as [min tau_plus, g] and
     [g, max tau_minus], so no admissible interval holds g inside.
+    A table over an isoparametric family raises DomainError, and one whose
+    successful rows have no finite tau_plus raises InsufficientRange.
     """
-    rows = sorted(table.ok_rows, key=lambda row: row.R)
-    if not rows:
-        raise NumericalError("tau table has no successful rows")
-    sf, f = table.sf, table.f
-    annular = [row for row in rows if math.isfinite(row.tau_minus)]  # R > 0
-    tp = [row.tau_plus for row in rows if math.isfinite(row.tau_plus)]
-    tm = [row.tau_minus for row in annular]
-    # each curve's sampled image, [min, max]
-    plus, minus = [min(tp), max(tp)], [min(tm), max(tm)] if tm else None
+    sf, f = table.space, table.f
+    if not isinstance(sf, SpaceForm):
+        raise DomainError("gap estimation needs the radial equation of a space form")
+    plus, minus = table.images
+    if plus is None:
+        raise InsufficientRange("gap estimation needs a successful row with an outer "
+                                "zero (tau_plus)")
     if sf.k > 0:
         adm = _merge(plus, minus) if minus else [plus]
-        return GapEstimate(adm=adm, gap=[], method="exact-symmetry")
+        return GapEstimate(adm=adm, gap=[], method="exact-symmetry", asymptote_data=None)
     if not minus:
         raise InsufficientRange("gap estimation needs annular rows (R > 0)")
 
+    annular = sorted((row for row in table.ok_rows if math.isfinite(row.tau_minus)),
+                     key=lambda row: row.R)  # R > 0
     R, tp = [row.R for row in annular], [row.tau_plus for row in annular]
+    tm = [row.tau_minus for row in annular]
     serrin_like = (f.name == "serrin_fk" and f.params.get("n") == sf.n
                    and f.params.get("k") == sf.k)
     flat = sf.k == 0 and serrin_like

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radcomp import (CauchyData, SolveOptions, SpaceForm, constant,
+from radcomp import (CauchyData, IsoparametricFamily, SolveOptions, SpaceForm, constant,
                      figure_gap_curve, gap_estimate, normalization_constant,
                      serrin_fk, solve_profile, tau_scan)
 from radcomp.errors import DomainError, InsufficientRange
@@ -37,7 +37,7 @@ def test_tau_table_structure():
     table = tau_scan(sf, f, 1.0, [0.0, 1.0, 2.0])
     assert table.rows[0].tau_plus == pytest.approx(1.0, abs=1e-10)
     assert math.isnan(table.rows[0].tau_minus)
-    assert table.tau0 == pytest.approx(1.0, abs=1e-10)
+    assert table.images[0][0] == pytest.approx(1.0, abs=1e-10)
     assert table.c_norm == pytest.approx(2.0 / 3.0, abs=1e-10)
     lines = tau_csv_lines(table)
     assert lines[1] == "R,tau_plus,tau_minus,r_minus,r_plus"
@@ -70,8 +70,8 @@ def test_reflection_relation_k_positive():
 def test_ordering_k_nonpositive():
     sf = SpaceForm(3, -1.0)
     f = serrin_fk(3, -1.0)
-    table = tau_scan(sf, f, 0.25, np.linspace(0.4, 10.0, 12))
-    assert table.tau_plus_sup <= table.tau_minus_inf + 1e-8
+    plus, minus = tau_scan(sf, f, 0.25, np.linspace(0.4, 10.0, 12)).images
+    assert plus[1] <= minus[0] + 1e-8
 
 
 def test_spherical_inner_curve_floor():
@@ -117,7 +117,7 @@ def test_gap_interval_k_negative_consistent():
     assert est.method == "asymptote-fit"
     assert len(est.gap) == 2
     lo, hi = est.gap
-    assert table.tau0 <= 1.0 + 1e-10 <= lo  # gap sits above the admissible floor
+    assert table.images[0][0] <= 1.0 + 1e-10 <= lo  # gap sits above the admissible floor
     # interiors of gap and admissible set do not overlap
     adm_plus, adm_minus = est.adm
     assert adm_plus[1] <= lo + 1e-12
@@ -173,8 +173,11 @@ def test_flat_gap_refuses_crossed_limits():
     """Settled tails whose plus limit lies above the minus limit are refused,
     not returned as an inverted interval."""
     sf = SpaceForm(2, 0.0)
-    rows = [TauRow(R=R, tau_plus=2.001, tau_minus=1.999, ok=True) for R in range(10, 70, 10)]
-    table = TauTable(sf=sf, f=serrin_fk(2, 0.0), M=1.0, c_norm=1.0, rows=rows)
+    nan = math.nan
+    rows = [TauRow(R=R, tau_plus=2.001, tau_minus=1.999, r_minus=nan, r_plus=nan,
+                   dU_minus=nan, dU_plus=nan, ok=True, diagnostic=None)
+            for R in range(10, 70, 10)]
+    table = TauTable(space=sf, f=serrin_fk(2, 0.0), M=1.0, c_norm=1.0, rows=rows)
     with pytest.raises(InsufficientRange, match="plus limit 2.00.* exceeds minus limit 1.99"):
         gap_estimate(table)
 
@@ -336,9 +339,63 @@ def test_scan_grid_validation():
     with pytest.raises(DomainError):
         tau_scan(sf, f, 1.0, [])
     with pytest.raises(DomainError):
-        tau_scan(sf, f, 1.0, [0.5, math.pi])  # touches r_bar
+        tau_scan(sf, f, 1.0, [0.5, 4.0])  # past r_bar
     with pytest.raises(DomainError):
         tau_scan(sf, f, 1.0, [-0.1, 0.5])
+
+
+def test_far_pole_row_reflects_the_centered_profile():
+    """A grid radius on r_bar is a far-pole start: its row has only the
+    inner curve, whose zero sits at pi - r_plus(0) by reflection and whose
+    tau_minus is the centered normalization value 1."""
+    table = tau_scan(SpaceForm(3, 1.0), serrin_fk(3, 1.0), 1.0, np.linspace(0.0, math.pi, 5))
+    centered, far = table.rows[0], table.rows[-1]
+    assert far.ok and far.R == math.pi
+    assert math.isnan(far.r_plus) and math.isnan(far.tau_plus)
+    assert abs(far.r_minus - (math.pi - centered.r_plus)) < 1e-9
+    assert abs(far.tau_minus - 1.0) < 1e-12
+
+
+def test_degree_one_family_scans_as_the_round_sphere():
+    """The degree-1 family (1, 2, 2, 3) states the radial equation of S^3:
+    its scan over S gives the rows and normalization of SpaceForm(3, 1),
+    bit for bit."""
+    grid = np.linspace(0.0, math.pi, 9)
+    fam = tau_scan(IsoparametricFamily(1, 2, 2, 3), constant(1.0), 0.5, grid)
+    rad = tau_scan(SpaceForm(3, 1.0), constant(1.0), 0.5, grid)
+    assert struct.pack("<d", fam.c_norm) == struct.pack("<d", rad.c_norm)
+    assert repr(fam.rows) == repr(rad.rows)
+
+
+@pytest.mark.parametrize("R", [-0.1, math.pi * (1 + 1e-13), math.pi + 1e-6, 4.0, math.nan])
+def test_scan_and_solver_share_one_range_rule(R):
+    """tau_scan keeps no range rule of its own: it refuses a core radius
+    exactly when solve_profile does."""
+    sf, f = SpaceForm(3, 1.0), serrin_fk(3, 1.0)
+
+    def refused(call):
+        try:
+            call()
+        except DomainError:
+            return True
+        return False
+
+    solver = refused(lambda: solve_profile(sf, f, CauchyData(R, 1.0)))
+    assert solver == (R != math.pi * (1 + 1e-13))  # only the far pole is inside
+    assert refused(lambda: tau_scan(sf, f, 1.0, [0.5, R])) == solver
+
+
+def test_gap_refuses_a_family_table():
+    table = tau_scan(IsoparametricFamily(2, 1, 2, 4), constant(1.0), 0.05, [0.3, 0.6])
+    with pytest.raises(DomainError, match="radial equation of a space form"):
+        gap_estimate(table)
+
+
+def test_gap_refuses_a_table_without_outer_zeros():
+    """A grid on the far pole alone has successful rows but no tau_plus."""
+    table = tau_scan(SpaceForm(3, 1.0), serrin_fk(3, 1.0), 1.0, [math.pi])
+    with pytest.raises(InsufficientRange, match="outer zero"):
+        gap_estimate(table)
 
 
 def test_centered_failure_propagates():

@@ -19,8 +19,7 @@ from .closedform import (serrin_flat_centered, serrin_flat_radius, serrin_explic
                          SerrinExplicit, helmholtz_s3, HelmholtzS3,
                          asymptotic_gap, AsymptoticProfile,
                          asymptote_parameter_from_cauchy_max)
-from .isoparametric import (IsoparametricFamily, IsoProfile, solve_iso_profile,
-                            descent_check)
+from .isoparametric import IsoparametricFamily, solve_iso_profile, descent_check
 from . import errors
 
 __all__ = [
@@ -37,7 +36,7 @@ __all__ = [
     "serrin_flat_centered", "serrin_flat_radius", "serrin_explicit", "SerrinExplicit",
     "helmholtz_s3", "HelmholtzS3", "asymptotic_gap", "AsymptoticProfile",
     "asymptote_parameter_from_cauchy_max",
-    "IsoparametricFamily", "IsoProfile", "solve_iso_profile", "descent_check",
+    "IsoparametricFamily", "solve_iso_profile", "descent_check",
     "errors",
 ]
 

@@ -22,7 +22,7 @@ from .bounds import (ComparisonPair, hotspot_bounds, isoperimetric_coarea_ratio,
                      serrin_lower_bound)
 from .closedform import SerrinExplicit, HelmholtzS3
 from .errors import DomainError, RadcompError
-from .isoparametric import IsoparametricFamily, descent_check, solve_iso_profile
+from .isoparametric import IsoparametricFamily, descent_check
 from .nonlinearity import affine, allen_cahn, constant, serrin_fk
 from .ode import CauchyData, solve_profile
 from .spaceform import SpaceForm
@@ -316,18 +316,18 @@ def crit_isoparametric():
     msgs = []
     f = constant(1.0)
     fam1 = IsoparametricFamily(1, 2, 2, 3)
-    iso = solve_iso_profile(fam1, f, 0.7, 0.5)
+    iso = solve_profile(fam1, f, CauchyData(0.7, 0.5))
     prof = solve_profile(SpaceForm(3, 1.0), f, CauchyData(0.7, 0.5))
-    ss = np.linspace(iso.s_minus, iso.s_plus, 41)
-    err1 = max(abs(iso.profile.u(s) - prof.u(s)) for s in ss)
+    ss = np.linspace(iso.r_minus, iso.r_plus, 41)
+    err1 = max(abs(iso.u(s) - prof.u(s)) for s in ss)
     _check(err1 < 1e-8, msgs, f"degree-1 vs radial: {err1}")
 
     fam2 = IsoparametricFamily(2, 1, 1, 3)
     S = 0.6
-    a = solve_iso_profile(fam2, f, S, 0.1)
-    b = solve_iso_profile(fam2, f, fam2.s_max - S, 0.1)
-    ss = np.linspace(a.s_minus, a.s_plus, 41)
-    err2 = max(abs(a.profile.u(s) - b.profile.u(fam2.s_max - s)) for s in ss)
+    a = solve_profile(fam2, f, CauchyData(S, 0.1))
+    b = solve_profile(fam2, f, CauchyData(fam2.s_max - S, 0.1))
+    ss = np.linspace(a.r_minus, a.r_plus, 41)
+    err2 = max(abs(a.u(s) - b.u(fam2.s_max - s)) for s in ss)
     _check(err2 < 1e-8, msgs, f"reflection identity: {err2}")
 
     families = [IsoparametricFamily(1, 2, 2, 3), IsoparametricFamily(2, 1, 1, 3),
@@ -355,9 +355,9 @@ def _artifact_bundle(outdir: Path):
     files["tau_scan_k1.csv"] = output.tau_csv_lines(table)
     est = gap_estimate(table)
     files["gap_k1.json"] = [output.dumps_json(output.gap_json(table, est))]
-    iso = solve_iso_profile(IsoparametricFamily(2, 1, 1, 3), constant(1.0),
-                            math.pi / 4.0, 0.1)
-    files["iso_band.csv"] = output.iso_csv_lines(iso, npoints=101)
+    iso = solve_profile(IsoparametricFamily(2, 1, 1, 3), constant(1.0),
+                        CauchyData(math.pi / 4.0, 0.1))
+    files["iso_band.csv"] = output.profile_csv_lines(iso, npoints=101)
     curve = figure_gap_curve(SpaceForm(2, -1.0), FIG_GAP_M_TILDE,
                              np.linspace(1.0, 8.0, 8))
     files["gap_curve_n2.csv"] = output.gap_curve_csv_lines(curve)

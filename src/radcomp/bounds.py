@@ -30,6 +30,10 @@ class ComparisonPair:
     events, finds the radius on that piece. chi_fast is the same method
     under the name of a former interpolant route, kept because the benchmark
     harness calls it.
+
+    The top level set {U = M} is a hypersurface unless the core sits on a
+    pole, at R = 0 or (k > 0) at r_bar; the profile then has no zero beyond
+    that pole, and `top_is_point` is true.
     """
 
     def __init__(self, profile: ModelProfile, sign: str):
@@ -46,6 +50,7 @@ class ComparisonPair:
         self.sf: SpaceForm = profile.space
         self.R = profile.cauchy.R
         self.M = profile.cauchy.M
+        self.top_is_point = profile.r_minus is None or profile.r_plus is None
         lo, hi = profile.branch_interval(sign)
         self.r_boundary = lo if sign == "minus" else hi
         self._lo, self._hi = lo, hi
@@ -119,6 +124,11 @@ class ComparisonPair:
         if not (lo <= r <= hi):
             raise DomainError(f"radius {r} outside the branch [{lo}, {hi}]")
 
+    def _require_top_hypersurface(self, what: str):
+        if self.top_is_point:
+            end = "R > 0" if self.profile.r_minus is None else "R < r_bar"
+            raise DomainError(f"{what} needs {end}")
+
 
 @dataclass
 class MuScanReport:
@@ -180,22 +190,22 @@ class CurvatureBounds:
 
 def curvature_bounds(pair: ComparisonPair) -> CurvatureBounds:
     """Mean-curvature bounds (inner orientation): at the extremal boundary
-    point, and along a regular top level set (the latter needs R > 0)."""
+    point, and along a regular top level set (None when it is a point)."""
     sf = pair.sf
+    top = None if pair.top_is_point else sf.cotk(pair.R)
     if pair.sign == "plus":
         boundary = sf.cotk(pair.profile.r_plus) if pair.profile.r_plus < sf.r_bar \
             else -math.inf
-        maxset = -sf.cotk(pair.R) if pair.R > 0 else None
+        maxset = None if top is None else -top
     else:
         boundary = -sf.cotk(pair.profile.r_minus)
-        maxset = sf.cotk(pair.R) if pair.R > 0 else None
+        maxset = top
     return CurvatureBounds(boundary_H_bound=boundary, maxset_H_bound=maxset)
 
 
 def area_ratio_factor(pair: ComparisonPair, t: float) -> float:
     """(s_k(R) / s_k(chi(t)))^(n-1): top-level-set area against the t level set."""
-    if pair.R <= 0:
-        raise DomainError("area factor needs a hypersurface top level set (R > 0)")
+    pair._require_top_hypersurface("area factor")
     if not (0.0 <= t < pair.M):
         raise DomainError(f"level value {t} outside [0, M)")
     sf = pair.sf
@@ -206,8 +216,7 @@ def isoperimetric_model_ratio(pair: ComparisonPair) -> float:
     """Volume-to-top-area ratio of the model branch:
     integral of s_k^(n-1) over the branch, divided by s_k(R)^(n-1).
     Raises QuadratureError if the integral misses its error target."""
-    if pair.R <= 0:
-        raise DomainError("isoperimetric ratio needs R > 0")
+    pair._require_top_hypersurface("isoperimetric ratio")
     sf = pair.sf
     val, _ = gauss_kronrod(lambda r: sf.sk(r) ** (sf.n - 1), pair._lo, pair._hi,
                            epsabs=1e-14, epsrel=1e-12, limit=300)
@@ -219,8 +228,7 @@ def isoperimetric_coarea_ratio(pair: ComparisonPair) -> float:
     integral over t of s_k(chi(t))^(n-1) / |U'(chi(t))|, with the square-root
     substitution t = M - w^2 removing the endpoint singularity at t = M.
     Raises QuadratureError if the integral misses its error target."""
-    if pair.R <= 0:
-        raise DomainError("isoperimetric ratio needs R > 0")
+    pair._require_top_hypersurface("isoperimetric ratio")
     sf, M = pair.sf, pair.M
     t_cap = M * (1.0 - 1e-15)
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import acceptance, output
 from .bounds import ComparisonPair, bound_report, mu_sign_scan
 from .errors import DomainError, NumericalError, RadcompError
-from .isoparametric import IsoparametricFamily, solve_iso_profile
+from .isoparametric import IsoparametricFamily
 from .nonlinearity import affine, from_cli_spec, from_descriptor
 from .ode import CauchyData, SolveOptions, solve_profile
 from .spaceform import SpaceForm
@@ -141,15 +141,23 @@ def _nl(args, sf):
     return from_cli_spec(args.f, sf)
 
 
+def _emit_profile(prof, args):
+    """The profile CSV, and its summary as JSON when asked for."""
+    _emit(output.profile_csv_lines(prof, npoints=args.points), args.csv)
+    if args.json:
+        _emit(prof.summary(), args.json, as_json=True)
+
+
+def _branches(prof):
+    """The signs of the monotone branches whose zero the profile has."""
+    return [sign for sign, zero in (("plus", prof.r_plus), ("minus", prof.r_minus))
+            if zero is not None]
+
+
 def cmd_profile(args):
     sf = SpaceForm(args.n, args.k)
     f = _nl(args, sf)
-    opts = _solve_options(args)
-    prof = solve_profile(sf, f, CauchyData(args.R, args.M), opts)
-    lines = output.profile_csv_lines(prof, npoints=args.points)
-    _emit(lines, args.csv)
-    if args.json:
-        _emit(prof.summary(), args.json, as_json=True)
+    _emit_profile(solve_profile(sf, f, CauchyData(args.R, args.M), _solve_options(args)), args)
     return 0
 
 
@@ -157,10 +165,11 @@ def cmd_tau_scan(args):
     sf = SpaceForm(args.n, args.k)
     f = _nl(args, sf)
     table = tau_scan(sf, f, args.M, args.r_grid, _solve_options(args))
+    # the gap before the CSV, so that a refused gap prints nothing
+    gap = output.gap_json(table, gap_estimate(table)) if args.json else None
     _emit(output.tau_csv_lines(table), args.csv)
-    if args.json:
-        est = gap_estimate(table)
-        _emit(output.gap_json(table, est), args.json, as_json=True)
+    if gap is not None:
+        _emit(gap, args.json, as_json=True)
     return 0
 
 
@@ -187,10 +196,9 @@ def cmd_mu_check(args):
     sf = SpaceForm(args.n, args.k)
     f = _nl(args, sf)
     prof = solve_profile(sf, f, CauchyData(args.R, args.M), _solve_options(args))
-    report = {}
-    for sign in (("plus", "minus") if prof.r_minus is not None else ("plus",)):
-        pair = ComparisonPair(prof, sign)
-        report[sign] = dataclasses.asdict(mu_sign_scan(pair, npoints=args.grid))
+    report = {sign: dataclasses.asdict(mu_sign_scan(ComparisonPair(prof, sign),
+                                                    npoints=args.grid))
+              for sign in _branches(prof)}
     _emit(report, args.json, as_json=True)
     return 0
 
@@ -207,10 +215,7 @@ def cmd_bounds(args):
 def cmd_iso(args):
     fam = IsoparametricFamily(args.ell, args.m1, args.m2, args.n)
     f = _nl(args, None)
-    iso = solve_iso_profile(fam, f, args.S, args.M, _solve_options(args))
-    _emit(output.iso_csv_lines(iso, npoints=args.points), args.csv)
-    if args.json:
-        _emit(iso.header(), args.json, as_json=True)
+    _emit_profile(solve_profile(fam, f, CauchyData(args.S, args.M), _solve_options(args)), args)
     return 0
 
 
@@ -244,7 +249,7 @@ def cmd_fig_mu(args):
         rows = []
         for R in cfg["R"]:
             prof = solve_profile(sf, f, CauchyData(R, cfg["M"]), opts)
-            for sign in (("plus", "minus") if prof.r_minus is not None else ("plus",)):
+            for sign in _branches(prof):
                 scan = mu_sign_scan(ComparisonPair(prof, sign))
                 rows.append((R, sign == "plus" and 1 or -1, scan.min_mu,
                              scan.argmin, scan.all_nonnegative))

@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import DomainError, NoZeroFound, NotAdmissible, QuadratureError, StepFailure
 from .nonlinearity import Nonlinearity
-from .spaceform import SpaceForm
 
 _ZERO_FLOOR = 1e-13  # inward integration floor above a pole at the left endpoint
 _ZERO_TOL = 1e-11    # |U| acceptance at refined zeros, relative to M
@@ -218,18 +217,17 @@ class ModelProfile:
         raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
 
     def summary(self) -> dict:
+        """The solve's data and results, with the space's and the
+        nonlinearity's own descriptions: the header of the profile CSV."""
         out = {
             "R": self.cauchy.R, "M": self.cauchy.M,
             "r_minus": self.r_minus, "r_plus": self.r_plus,
             "dU_minus": self.dU_minus, "dU_plus": self.dU_plus,
             "admissible": self.admissible,
+            **self.space.describe(), "f": self.f.describe(),
         }
         if self.failure:
             out["failure"] = self.failure
-        if isinstance(self.space, SpaceForm):
-            out["n"] = self.space.n
-            out["k"] = self.space.k
-        out["f"] = self.f.describe()
         return out
 
 

@@ -58,26 +58,22 @@ def write_text(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _dense_rows(profile, lo, hi, npoints):
-    """(x, U, U') rows on a uniform grid of npoints over [lo, hi]."""
-    xs = np.linspace(lo, hi, npoints)
-    return zip(xs.tolist(), profile.u(xs).tolist(), profile.du(xs).tolist())
-
-
 def profile_csv_lines(profile, npoints: int):
     """r, U, dU on a uniform grid over the computed support, with the exact
-    boundary radii included, preceded by the JSON summary header."""
+    boundary radii included, preceded by the JSON summary header. On an
+    isoparametric family r is the leaf parameter."""
     lo = profile.r_minus if profile.r_minus is not None else profile.r_lo
     hi = profile.r_plus if profile.r_plus is not None else profile.r_hi
-    return csv_lines(("r", "U", "dU"), _dense_rows(profile, lo, hi, npoints),
-                     header_obj=profile.summary())
+    rs = np.linspace(lo, hi, npoints)
+    rows = zip(rs.tolist(), profile.u(rs).tolist(), profile.du(rs).tolist())
+    return csv_lines(("r", "U", "dU"), rows, header_obj=profile.summary())
 
 
 def tau_csv_lines(table):
     rows = [(row.R, row.tau_plus, row.tau_minus, row.r_minus, row.r_plus)
             for row in table.rows]
-    header = {"n": table.space.n, "k": table.space.k, "M": table.M,
-              "c_norm": table.c_norm, "f": table.f.describe()}
+    header = {**table.space.describe(), "M": table.M, "c_norm": table.c_norm,
+              "f": table.f.describe()}
     return csv_lines(("R", "tau_plus", "tau_minus", "r_minus", "r_plus"),
                      rows, header_obj=header)
 
@@ -91,14 +87,6 @@ def gap_json(table, est) -> dict:
         "method": est.method,
         "asymptote_data": est.asymptote_data,
     }
-
-
-def iso_csv_lines(iso, npoints: int):
-    prof = iso.profile
-    lo = iso.s_minus if iso.s_minus is not None else prof.r_lo
-    hi = iso.s_plus if iso.s_plus is not None else prof.r_hi
-    return csv_lines(("s", "Z", "dZ"), _dense_rows(prof, lo, hi, npoints),
-                     header_obj=iso.header())
 
 
 def gap_curve_csv_lines(curve):

@@ -112,6 +112,10 @@ class SpaceForm:
         # the kernels are closures, which do not pickle; rebuild them instead
         return (SpaceForm, (self.n, self.k))
 
+    def describe(self) -> dict:
+        """The data that names the equation, for output headers."""
+        return {"n": self.n, "k": self.k}
+
     # -- warping function and derivative ------------------------------------
 
     def sk(self, r: float) -> float:

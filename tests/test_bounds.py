@@ -288,6 +288,32 @@ def test_bound_report_schema():
     assert rep["curvature_bounds"]["maxset_H_bound"] is not None
 
 
+def test_core_on_the_far_pole_has_a_point_top_level_set():
+    """k > 0 with R = r_bar: the minus branch exists, but the top level set is
+    the far pole, a point. The bounds that need a hypersurface there refuse,
+    as at R = 0, instead of dividing by s_k(r_bar), the rounding residue of
+    sin(pi); the others are still reported."""
+    from radcomp import bound_report
+    prof = solve_profile(SpaceForm(3, 1.0), constant(1.0), CauchyData(math.pi, 0.5))
+    assert prof.r_minus is not None and prof.r_plus is None
+    pair = ComparisonPair(prof, "minus")
+    assert pair.top_is_point
+    for bound in (isoperimetric_model_ratio, isoperimetric_coarea_ratio,
+                  lambda p: area_ratio_factor(p, 0.25)):
+        with pytest.raises(DomainError, match="needs R < r_bar"):
+            bound(pair)
+    cb = curvature_bounds(pair)
+    assert cb.maxset_H_bound is None
+    assert cb.boundary_H_bound == -SpaceForm(3, 1.0).cotk(prof.r_minus)
+    rep = bound_report(pair)
+    assert rep["iso_ratio"] is None
+    assert rep["iso_ratio_reason"] == "isoperimetric ratio needs R < r_bar"
+    assert rep["curvature_bounds"]["maxset_H_bound"] is None
+    assert rep["mu_min"] is not None and rep["hotspot_raw"] is not None
+    with pytest.raises(DomainError, match="no outer zero"):
+        ComparisonPair(prof, "plus")
+
+
 def test_pair_requires_admissible_profile():
     prof = solve_or_failure(solve_profile, SpaceForm(3, 0.0), constant(1e-3),
                             CauchyData(0.0, 1.0), SolveOptions(r_max_cap=10.0))

@@ -155,6 +155,32 @@ def test_bounds_subcommand_centered(capsys):
     assert payload["iso_ratio_reason"] == "isoperimetric ratio needs R > 0"
 
 
+FAR_POLE = ["--n", "3", "--k", "1", "--f", "constant:1", "--R", "3.141592653589793",
+            "--M", "0.5"]
+
+
+def test_mu_check_core_on_the_far_pole(capsys):
+    """A core on r_bar has an inner zero and no outer one: mu-check scans
+    the branch whose zero exists."""
+    code, out, _ = run_cli(["mu-check", *FAR_POLE, "--grid", "40"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"minus"} and payload["minus"]["grid_size"] == 40
+
+
+def test_bounds_subcommand_core_on_the_far_pole(capsys):
+    code, out, _ = run_cli(["bounds", *FAR_POLE, "--sign", "minus"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["r_plus"] is None
+    assert payload["curvature_bounds"]["maxset_H_bound"] is None
+    assert payload["iso_ratio"] is None
+    assert payload["iso_ratio_reason"] == "isoperimetric ratio needs R < r_bar"
+    assert payload["mu_min"] is not None and payload["hotspot_raw"] is not None
+    code, _, err = run_cli(["bounds", *FAR_POLE, "--sign", "plus"], capsys)
+    assert code == 2 and "no outer zero" in json.loads(err)["message"]
+
+
 def test_bounds_subcommand_inapplicable_hotspot(capsys):
     # r_plus > r_bar / 2 on the sphere: the hot-spot bound does not apply,
     # the other bounds of the report are still computed
@@ -188,7 +214,20 @@ def test_iso_subcommand(tmp_path, capsys):
                           "--csv", str(csv)], capsys)
     assert code == 0
     header = json.loads(csv.read_text().splitlines()[0][2:])
-    assert header["ell"] == 2 and header["domain"] == "leaf-band"
+    assert header["ell"] == 2
+    assert header["r_minus"] is not None and header["r_plus"] is not None  # a leaf band
+
+
+def test_iso_json_carries_the_slopes(capsys):
+    """iso --json is the profile summary: it carries the slopes at both
+    zeros, as profile --json does."""
+    code, out, _ = run_cli(ISO + ["--csv", os.devnull, "--json", "-"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    prof = radcomp.solve_profile(radcomp.IsoparametricFamily(2, 1, 1, 3),
+                                 radcomp.constant(1.0), radcomp.CauchyData(0.7854, 0.1))
+    assert (payload["dU_minus"], payload["dU_plus"]) == (prof.dU_minus, prof.dU_plus)
+    assert payload["dU_minus"] > 0 > payload["dU_plus"]
 
 
 def test_fig_gap_subcommand(tmp_path, capsys):
@@ -320,11 +359,22 @@ def test_tau_scan_grid_past_the_far_pole(capsys):
 
 def test_tau_scan_far_pole_only_grid_has_no_gap(capsys):
     """The far-pole row has no outer zero, so the gap is refused as a
-    numerical failure, not a crash."""
-    code, _, err = run_cli(TAU_SCAN_K1 + ["--r-grid", "3.141592653589793:3.141592653589793:1",
-                                          "--json", "-"], capsys)
+    numerical failure, not a crash, before any CSV is printed."""
+    code, out, err = run_cli(TAU_SCAN_K1 + ["--r-grid", "3.141592653589793:3.141592653589793:1",
+                                            "--json", "-"], capsys)
     assert code == 3
     assert json.loads(err)["error"] == "numerical"
+    assert out == ""
+
+
+def test_tau_scan_refused_gap_writes_no_csv(tmp_path, capsys):
+    """The gap is estimated before the CSV is written, so a refused gap
+    leaves no CSV file behind."""
+    csv = tmp_path / "t.csv"
+    code, out, _ = run_cli(TAU_SCAN_K1 + ["--r-grid", "3.141592653589793:3.141592653589793:1",
+                                          "--csv", str(csv), "--json", "-"], capsys)
+    assert code == 3
+    assert out == "" and not csv.exists()
 
 
 def test_iso_core_on_the_far_focal_pole(tmp_path, capsys):
@@ -334,7 +384,8 @@ def test_iso_core_on_the_far_focal_pole(tmp_path, capsys):
                           "--f", "constant:1", "--S", "0.7853981633975", "--M", "0.01",
                           "--csv", str(tmp_path / "iso.csv"), "--json", str(js)], capsys)
     assert code == 0
-    assert json.loads(js.read_text())["domain"] == "focal-cap-minus"
+    header = json.loads(js.read_text())
+    assert header["r_plus"] is None and header["r_minus"] is not None  # a focal cap
 
 
 def test_iso_has_no_outward_cap(capsys):
@@ -454,10 +505,10 @@ def test_defaulted_parameters_do_not_grow():
 
 
 def test_public_names_do_not_grow():
-    """Name ratchet: the package root exports at most 47 names in __all__,
+    """Name ratchet: the package root exports at most 46 names in __all__,
     and lists there every public name it binds, apart from the submodules
     that importing from them binds. A new export is a deliberate edit."""
-    assert len(radcomp.__all__) <= 47
+    assert len(radcomp.__all__) <= 46
     assert len(set(radcomp.__all__)) == len(radcomp.__all__)
     assert all(hasattr(radcomp, name) for name in radcomp.__all__)
     unlisted = [name for name, obj in vars(radcomp).items()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from radcomp import (CauchyData, IsoparametricFamily, SolveOptions, SpaceForm,
                      allen_cahn, constant, descent_check, solve_iso_profile,
-                     solve_profile)
+                     solve_profile, tau_scan)
 from radcomp.errors import DomainError
+from radcomp.output import profile_csv_lines, tau_csv_lines
 
 from solver_checks import assert_residue_is_the_limit, fd_residual
 
@@ -75,68 +77,65 @@ def test_degree_one_reduces_to_radial(m, t, q):
     f = constant(1.0)
     S = t * math.pi
     M = q * min(S, math.pi - S) ** 2
-    iso = solve_iso_profile(fam, f, S, M)
+    iso = solve_profile(fam, f, CauchyData(S, M))
     prof = solve_profile(SpaceForm(m + 1, 1.0), f, CauchyData(S, M))
-    assert iso.s_minus == pytest.approx(prof.r_minus, abs=1e-10)
-    assert iso.s_plus == pytest.approx(prof.r_plus, abs=1e-10)
-    for s in np.linspace(iso.s_minus, iso.s_plus, 31):
-        assert abs(iso.profile.u(s) - prof.u(s)) < 1e-8
+    assert iso.r_minus == pytest.approx(prof.r_minus, abs=1e-10)
+    assert iso.r_plus == pytest.approx(prof.r_plus, abs=1e-10)
+    for s in np.linspace(iso.r_minus, iso.r_plus, 31):
+        assert abs(iso.u(s) - prof.u(s)) < 1e-8
 
 
 def test_band_profile_and_admissibility():
     fam = IsoparametricFamily(2, 1, 1, 3)
-    iso = solve_iso_profile(fam, constant(1.0), math.pi / 4, 0.1)
-    assert iso.domain == "leaf-band"
-    assert 0 < iso.s_minus < math.pi / 4 < iso.s_plus < math.pi / 2
+    iso = solve_profile(fam, constant(1.0), CauchyData(math.pi / 4, 0.1))
+    assert 0 < iso.r_minus < math.pi / 4 < iso.r_plus < math.pi / 2
     assert iso.admissible
     # derivative changes sign only at the core leaf
-    ss = np.linspace(iso.s_minus + 1e-4, iso.s_plus - 1e-4, 101)
-    dz = np.array([iso.profile.du(s) for s in ss])
+    ss = np.linspace(iso.r_minus + 1e-4, iso.r_plus - 1e-4, 101)
+    dz = np.array([iso.du(s) for s in ss])
     assert np.all(dz[ss < math.pi / 4 - 1e-3] > 0)
     assert np.all(dz[ss > math.pi / 4 + 1e-3] < 0)
     # boundary gradients are finite and nonzero (the extremal property)
-    assert abs(iso.profile.du(iso.s_minus)) > 1e-3
-    assert abs(iso.profile.du(iso.s_plus)) > 1e-3
+    assert abs(iso.du(iso.r_minus)) > 1e-3
+    assert abs(iso.du(iso.r_plus)) > 1e-3
 
 
 def test_focal_cap_startups():
     fam = IsoparametricFamily(2, 1, 1, 3)
     f = constant(1.0)
-    cap = solve_iso_profile(fam, f, 0.0, 0.1)
-    assert cap.domain == "focal-cap-plus"
-    assert cap.s_minus is None and cap.s_plus is not None
+    cap = solve_profile(fam, f, CauchyData(0.0, 0.1))
+    assert cap.r_minus is None and cap.r_plus is not None  # a focal cap
     # Taylor startup slope: Z'(eps) = -f(M) eps / (1 + b1), b1 = m1 = 1
     eps = 2e-6
-    assert cap.profile.du(eps) == pytest.approx(-1.0 * eps / 2.0, rel=1e-4)
+    assert cap.du(eps) == pytest.approx(-1.0 * eps / 2.0, rel=1e-4)
 
-    far = solve_iso_profile(fam, f, fam.s_max, 0.1)
-    assert far.domain == "focal-cap-minus"
-    assert far.s_plus is None and far.s_minus is not None
-    assert far.profile.u(fam.s_max) == pytest.approx(0.1)
+    far = solve_profile(fam, f, CauchyData(fam.s_max, 0.1))
+    assert far.r_plus is None and far.r_minus is not None  # a focal cap
+    assert far.u(fam.s_max) == pytest.approx(0.1)
 
 
 def test_reflection_symmetry_balanced_family():
     fam = IsoparametricFamily(2, 1, 1, 3)
     f = constant(1.0)
     S = 0.5
-    a = solve_iso_profile(fam, f, S, 0.08)
-    b = solve_iso_profile(fam, f, fam.s_max - S, 0.08)
-    for s in np.linspace(a.s_minus, a.s_plus, 25):
-        assert abs(a.profile.u(s) - b.profile.u(fam.s_max - s)) < 1e-8
+    a = solve_profile(fam, f, CauchyData(S, 0.08))
+    b = solve_profile(fam, f, CauchyData(fam.s_max - S, 0.08))
+    for s in np.linspace(a.r_minus, a.r_plus, 25):
+        assert abs(a.u(s) - b.u(fam.s_max - s)) < 1e-8
 
 
 def test_iso_ode_residual():
     fam = IsoparametricFamily(3, 1, 1, 4)
-    iso = solve_iso_profile(fam, constant(1.0), 0.55, 0.2,
-                            SolveOptions(rtol=1e-12, atol=1e-14))
+    iso = solve_profile(fam, constant(1.0), CauchyData(0.55, 0.2),
+                        SolveOptions(rtol=1e-12, atol=1e-14))
     h = 7e-4
     S = 0.55
     # margins scale with the branch width: the stencil truncation involves
     # high derivatives of Z, which grow sharply toward the focal poles
-    w = iso.s_plus - iso.s_minus
-    rs = np.concatenate([np.linspace(iso.s_minus + 0.15 * w, S - 5 * h, 9),
-                         np.linspace(S + 5 * h, iso.s_plus - 0.15 * w, 9)])
-    worst = max(fd_residual(iso.profile, fam.coefficient, s, h) for s in rs)
+    w = iso.r_plus - iso.r_minus
+    rs = np.concatenate([np.linspace(iso.r_minus + 0.15 * w, S - 5 * h, 9),
+                         np.linspace(S + 5 * h, iso.r_plus - 0.15 * w, 9)])
+    worst = max(fd_residual(iso, fam.coefficient, s, h) for s in rs)
     assert worst < 1e-8
 
 
@@ -144,17 +143,17 @@ def test_near_focal_zeros_allen_cahn():
     # vanishing forcing at zero: the zeros park exponentially close to the
     # focal radii; they must still be located and the profile stays admissible
     fam = IsoparametricFamily(3, 1, 1, 4)
-    iso = solve_iso_profile(fam, allen_cahn(3.0), 0.55, 0.5)
+    iso = solve_profile(fam, allen_cahn(3.0), CauchyData(0.55, 0.5))
     assert iso.admissible
-    assert 0 < iso.s_minus < 1e-4
-    assert fam.s_max - 1e-4 < iso.s_plus < fam.s_max
+    assert 0 < iso.r_minus < 1e-4
+    assert fam.s_max - 1e-4 < iso.r_plus < fam.s_max
 
 
 def test_unbalanced_band():
     fam = IsoparametricFamily(4, 2, 5, 15)  # genuinely asymmetric coefficient
-    iso = solve_iso_profile(fam, constant(1.0), 0.4, 0.05)
+    iso = solve_profile(fam, constant(1.0), CauchyData(0.4, 0.05))
     assert iso.admissible
-    assert 0 < iso.s_minus < 0.4 < iso.s_plus < fam.s_max
+    assert 0 < iso.r_minus < 0.4 < iso.r_plus < fam.s_max
 
 
 def test_descent_table():
@@ -177,13 +176,40 @@ def test_descent_table():
         descent_check(table[2], "icosahedral")
 
 
+def test_solve_iso_profile_is_solve_profile():
+    fam = IsoparametricFamily(2, 1, 2, 4)
+    f = constant(1.0)
+    iso = solve_iso_profile(fam, f, 0.6, 0.05)
+    prof = solve_profile(fam, f, CauchyData(0.6, 0.05))
+    assert iso.summary() == prof.summary()
+
+
 def test_iso_csv_header():
-    import json
-    from radcomp.output import iso_csv_lines
+    """A family's profile goes through the radial writer: the header is the
+    profile summary with the family's data in place of (n, k)."""
     fam = IsoparametricFamily(2, 1, 1, 3)
-    iso = solve_iso_profile(fam, constant(1.0), math.pi / 4, 0.1)
-    lines = iso_csv_lines(iso, npoints=11)
+    prof = solve_profile(fam, constant(1.0), CauchyData(math.pi / 4, 0.1))
+    lines = profile_csv_lines(prof, npoints=11)
     header = json.loads(lines[0][2:])
-    for key in ("ell", "m1", "m2", "c", "n", "S", "M", "s_minus", "s_plus", "domain"):
-        assert key in header
-    assert lines[1] == "s,Z,dZ"
+    assert set(header) == {"ell", "m1", "m2", "c", "n", "R", "M", "r_minus", "r_plus",
+                           "dU_minus", "dU_plus", "admissible", "f"}
+    assert {key: header[key] for key in fam.describe()} == fam.describe()
+    assert (header["R"], header["r_minus"], header["r_plus"]) == \
+        (math.pi / 4, prof.r_minus, prof.r_plus)
+    assert (header["dU_minus"], header["dU_plus"]) == (prof.dU_minus, prof.dU_plus)
+    assert lines[1] == "r,U,dU"
+    assert lines[2].split(",")[0] == "%.17g" % prof.r_minus
+
+
+def test_family_tau_csv_header():
+    """A family's tau table is written with the family's data in its header,
+    and no curvature k."""
+    fam = IsoparametricFamily(2, 1, 2, 4)
+    table = tau_scan(fam, constant(1.0), 0.05, [0.3, 0.6])
+    lines = tau_csv_lines(table)
+    header = json.loads(lines[0][2:])
+    assert {key: header[key] for key in ("ell", "m1", "m2", "c", "n")} == \
+        {"ell": 2, "m1": 1, "m2": 2, "c": 2.0, "n": 4}
+    assert "k" not in header
+    assert lines[1] == "R,tau_plus,tau_minus,r_minus,r_plus"
+    assert len(lines) == 4

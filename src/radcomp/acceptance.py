@@ -20,7 +20,8 @@ from . import output
 from .bounds import (ComparisonPair, hotspot_bounds, isoperimetric_coarea_ratio,
                      isoperimetric_model_ratio, mu_at_boundary, mu_sign_scan,
                      serrin_lower_bound)
-from .closedform import SerrinExplicit, HelmholtzS3
+from .closedform import (SerrinExplicit, HelmholtzS3, serrin_flat_centered,
+                         serrin_flat_radius)
 from .errors import DomainError, RadcompError
 from .isoparametric import IsoparametricFamily, descent_check
 from .nonlinearity import affine, allen_cahn, constant, serrin_fk
@@ -61,9 +62,10 @@ def crit_flat_serrin_oracle():
         sf = SpaceForm(n, 0.0)
         for M in (0.1, 1.0, 10.0):
             prof = solve_profile(sf, constant(1.0), CauchyData(0.0, M))
-            rp_exact = math.sqrt(2.0 * n * M)
+            rp_exact = serrin_flat_radius(n, M)
             rs = np.linspace(0.0, min(prof.r_plus, rp_exact), 101)
-            err_u = max(abs(prof.u(r) - (M - r * r / (2.0 * n))) for r in rs)
+            u_exact, _ = serrin_flat_centered(n, M, rs)
+            err_u = max(abs(prof.u(r) - u) for r, u in zip(rs, u_exact))
             err_r = abs(prof.r_plus - rp_exact)
             err_c = abs(prof.dU_plus ** 2 - 2.0 * M / n)
             worst_u, worst_r, worst_c = (max(worst_u, err_u), max(worst_r, err_r),
@@ -271,7 +273,7 @@ def crit_hotspot_equality():
         hs = hotspot_bounds(ComparisonPair(prof, "plus"), r_Omega=prof.r_plus)
         _check(abs(hs.normalized - n) < 1e-9, msgs,
                f"n={n}: normalized {hs.normalized}")
-        lb = serrin_lower_bound(sf, math.sqrt(2.0 * n * M))
+        lb = serrin_lower_bound(sf, serrin_flat_radius(n, M))
         _check(abs(lb - M) < 1e-10, msgs, f"n={n}: value floor {lb} vs M={M}")
         details.append(f"n={n}: |normalized-n| {abs(hs.normalized - n):.1e}, "
                        f"|floor-M| {abs(lb - M):.1e}")

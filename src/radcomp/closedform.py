@@ -126,7 +126,7 @@ class SerrinExplicit:
             raise DomainError("core radius must be interior (0 < R < r_bar)")
         self.sf, self.n, self.k = sf, sf.n, int(sf.k)
         self.R, self.M = float(R), float(M)
-        h1, dh1 = self._h1(R), self._dh1(R)
+        h1, dh1 = self._ck(R), self._dck(R)
         h2, dh2 = self._h2(R), self._dh2(R)
         det = h1 * dh2 - h2 * dh1
         rhs = M + 1.0 / (self.n * self.k)
@@ -138,12 +138,6 @@ class SerrinExplicit:
 
     def _dck(self, r):
         return -math.sin(r) if self.k == 1 else math.sinh(r)
-
-    def _h1(self, r):
-        return self._ck(r)
-
-    def _dh1(self, r):
-        return self._dck(r)
 
     def _h2(self, r):
         return -1.0 + self._ck(r) * g_regularized(self.n, self.k, r)
@@ -160,10 +154,10 @@ class SerrinExplicit:
                 - self._ck(r) * _g_integrand_deriv(self.n, self.k, r))
 
     def u(self, r: float) -> float:
-        return (-1.0 / (self.n * self.k) + self.A * self._h1(r) + self.B * self._h2(r))
+        return (-1.0 / (self.n * self.k) + self.A * self._ck(r) + self.B * self._h2(r))
 
     def du(self, r: float) -> float:
-        return self.A * self._dh1(r) + self.B * self._dh2(r)
+        return self.A * self._dck(r) + self.B * self._dh2(r)
 
     def d2u(self, r: float) -> float:
         return -self.k * self.A * self._ck(r) + self.B * self._d2h2(r)

@@ -28,17 +28,17 @@ class SolveFailure(NumericalError):
 
 
 class NoZeroFound(SolveFailure):
-    """Integration reached its cap / the opposite singular endpoint without
-    a sign change of the profile."""
+    """A leg reached its outward cap, the far singular endpoint or the floor
+    above the pole at the lower end without a sign change of the profile."""
 
 
 class NotAdmissible(SolveFailure):
-    """Profile violates the admissibility requirements (derivative vanishes
-    or the profile turns before reaching zero)."""
+    """f(M) <= 0, or a leg turned (U' vanished) before a zero, grew past
+    its cap or could not refine its zero."""
 
 
 class StepFailure(SolveFailure):
-    """The adaptive integrator could not meet its tolerances."""
+    """The integrator's step size fell below the spacing of floats."""
 
 
 class QuadratureError(NumericalError):

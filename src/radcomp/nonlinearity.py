@@ -194,9 +194,12 @@ def from_cli_spec(spec: str, sf: SpaceForm | None = None) -> Nonlinearity:
 
 @dataclass(frozen=True)
 class ConditionResult:
-    ok: bool
-    witness: Optional[float]  # first violating sample, when not ok
+    witness: Optional[float]  # first violating sample; None when the condition holds
     message: str
+
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
     def __bool__(self):
         return self.ok
@@ -228,9 +231,9 @@ def _check(f: Nonlinearity, grid, slack_of, ok_message: str) -> ConditionResult:
     samples, slack, message = slack_of(grid)
     bad = np.nonzero(np.asarray(slack) < -_COND_TOL)[0]
     if bad.size == 0:
-        return ConditionResult(True, None, ok_message)
+        return ConditionResult(None, ok_message)
     w = float(samples[bad[0]])
-    return ConditionResult(False, w, message(w))
+    return ConditionResult(w, message(w))
 
 
 def check_standard_conditions(f: Nonlinearity, sf: SpaceForm,

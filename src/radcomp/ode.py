@@ -24,7 +24,6 @@ isoperimetric ratios in `bounds` and the regularized integral in
 
 from __future__ import annotations
 
-import enum
 import heapq
 import math
 from bisect import bisect_left, bisect_right
@@ -48,17 +47,9 @@ _TINY = float(np.finfo(float).tiny)
 _ZERO, _TURN, _GROWTH = 0, 1, 2
 
 
-class FailureCode(enum.Enum):
-    """Kind of a failed solve, which raises the exception its code names
-    (NoZeroFound, NotAdmissible, StepFailure) with the profile attached."""
-    NO_ZERO = "no_zero"                # a leg ended without a sign change of U
-    NOT_ADMISSIBLE = "not_admissible"  # f(M) <= 0, a turn, runaway growth, a stalled zero
-    STEP_FAILURE = "step_failure"      # a leg's step size fell below the spacing of floats
-
-
-# a solve whose legs report several codes takes the first one in this order
-_FAILURE_EXCEPTIONS = {FailureCode.STEP_FAILURE: StepFailure, FailureCode.NO_ZERO: NoZeroFound,
-                       FailureCode.NOT_ADMISSIBLE: NotAdmissible}
+# the exception class a failed solve raises is its failure code; when the
+# diagnostics name several classes, the first of them in this order
+_FAILURE_ORDER = (StepFailure, NoZeroFound, NotAdmissible)
 
 
 @dataclass(frozen=True)
@@ -119,9 +110,7 @@ class ModelProfile:
         self.dU_plus: Optional[float] = None
         self.r_minus_err: Optional[float] = None  # zero-location error estimates
         self.r_plus_err: Optional[float] = None
-        self.admissible: bool = False
-        self.failure: Optional[str] = None
-        self.failure_code: Optional[FailureCode] = None
+        self.failure: Optional[str] = None  # the diagnostics of a failed solve
         self.r_lo: float = math.nan    # computed radial range
         self.r_hi: float = math.nan
         self.stats = SolveStats()
@@ -146,6 +135,10 @@ class ModelProfile:
         self._piece_list = self._pieces.tolist()
         self._lower_list = self._lower.tolist()
         self._legs = None  # the pieces hold the same data; free the step rows
+
+    @property
+    def admissible(self) -> bool:
+        return self.failure is None
 
     # -- evaluation ------------------------------------------------------------
 
@@ -597,9 +590,10 @@ def solve_profile(space, f: Nonlinearity, cd: CauchyData,
     Taylor state U = M - f(M) d^2 / (2 (1 + residue)), d = r - pole, and an
     interior core from the same state with residue 0. Every leg runs, also
     after a step failure of the other. A solve that is not admissible raises
-    the exception of its failure code (NoZeroFound, NotAdmissible,
-    StepFailure); its `profile` has `.failure_code` and `.failure`, the
-    diagnostics of the failed legs joined by "; ".
+    StepFailure, NoZeroFound or NotAdmissible, the first of them that a
+    diagnostic names (f(M) <= 0 outranks every leg); the class is the failure
+    code, and its `profile` has `.failure`, the diagnostics of the failed
+    legs joined by "; ".
     """
     b, (lo, hi), residues = space.coefficient, space.interval, space.residues
     R, M = cd.R, cd.M
@@ -631,12 +625,8 @@ def solve_profile(space, f: Nonlinearity, cd: CauchyData,
     r_hi = center + eps if +1 in sides else center
     prof._taylor = (_taylor_piece(center, M, fM, 1.0 + residue), r_lo)
 
-    if fM <= 0:
-        prof.failure = f"core is not a strict local maximum: f(M) = {fM} <= 0"
-        prof.failure_code = FailureCode.NOT_ADMISSIBLE
-
     pole_eps_hi = max(1e-9, 1e-12 * abs(hi)) if hi_pole else 0.0
-    diagnostics = []  # (FailureCode, text)
+    diagnostics = []  # (exception class, text)
 
     for side in sides:
         if side > 0:
@@ -646,7 +636,7 @@ def solve_profile(space, f: Nonlinearity, cd: CauchyData,
         try:
             leg = _run_leg(b, f.func, center + side * eps, u0, -side * du0, target, opts, M)
         except StepFailure as e:
-            diagnostics.append((FailureCode.STEP_FAILURE, str(e)))
+            diagnostics.append((StepFailure, str(e)))
             continue
         prof._legs.append(leg.steps)
         stats = prof.stats
@@ -659,7 +649,7 @@ def solve_profile(space, f: Nonlinearity, cd: CauchyData,
             # stall threshold scales with the slope: what matters is the
             # radius error |U|/|U'|, not |U| itself
             if abs(uz) > _ZERO_TOL * max(1.0, M) * (1.0 + abs(duz)):
-                diagnostics.append((FailureCode.NOT_ADMISSIBLE,
+                diagnostics.append((NotAdmissible,
                                     f"zero refinement stalled at r={rz} (|U|={abs(uz)})"))
             # location error ~ (accumulated value error of U at the zero) / slope:
             # the tolerance floor plus the leg's local error estimates, which
@@ -670,29 +660,32 @@ def solve_profile(space, f: Nonlinearity, cd: CauchyData,
                 prof.r_plus, prof.dU_plus, prof.r_plus_err = rz, duz, err
             else:
                 prof.r_minus, prof.dU_minus, prof.r_minus_err = rz, duz, err
-        elif leg.event == _TURN:  # U' vanished with U still positive
-            diagnostics.append((FailureCode.NOT_ADMISSIBLE,
-                                f"derivative vanished before the zero at r={leg.end} "
-                                f"(U={leg.state[0]}); profile turns"))
+        elif leg.event == _TURN:
+            # U <= 0 here means that the last step's quartic dips below zero
+            # between step ends where U is positive: no zero is resolved, and
+            # none is known to lie ahead
+            u = leg.state[0]
+            diagnostics.append((NotAdmissible, (
+                f"derivative vanished before the zero at r={leg.end} (U={u})" if u > 0 else
+                f"derivative vanished at r={leg.end} with U={u} <= 0, but U did not "
+                "change sign at the step ends") + "; profile turns"))
         elif leg.event == _GROWTH:
-            diagnostics.append((FailureCode.NOT_ADMISSIBLE,
+            diagnostics.append((NotAdmissible,
                                 f"profile grew past {_GROWTH_CAP} * max(1, M); aborted leg"))
         elif hi_pole and side > 0:
-            diagnostics.append((FailureCode.NO_ZERO, f"reached the singular endpoint r={hi} "
+            diagnostics.append((NoZeroFound, f"reached the singular endpoint r={hi} "
                                 "with U > 0; no zero on the plus side"))
         elif side > 0:
-            diagnostics.append((FailureCode.NO_ZERO, f"no sign change of U before the cap "
+            diagnostics.append((NoZeroFound, f"no sign change of U before the cap "
                                 f"r={target} (r_max_cap={opts.r_max_cap})"))
         else:
-            diagnostics.append((FailureCode.NO_ZERO, f"no sign change of U down to r={target}"))
+            diagnostics.append((NoZeroFound, f"no sign change of U down to r={target}"))
 
     prof.r_lo, prof.r_hi = r_lo, r_hi
-
-    if prof.failure is None and diagnostics:
-        codes = {code for code, _ in diagnostics}
+    if fM <= 0:
+        diagnostics = [(NotAdmissible, f"core is not a strict local maximum: f(M) = {fM} <= 0")]
+    if diagnostics:
         prof.failure = "; ".join(text for _, text in diagnostics)
-        prof.failure_code = next(code for code in _FAILURE_EXCEPTIONS if code in codes)
-    if prof.failure is not None:
-        raise _FAILURE_EXCEPTIONS[prof.failure_code](prof.failure, profile=prof)
-    prof.admissible = True
+        kinds = {kind for kind, _ in diagnostics}
+        raise next(kind for kind in _FAILURE_ORDER if kind in kinds)(prof.failure, profile=prof)
     return prof

@@ -31,8 +31,11 @@ class TauRow:
     r_plus: float
     dU_minus: float
     dU_plus: float
-    ok: bool
-    diagnostic: Optional[str]
+    diagnostic: Optional[str]  # the failure text of the row's solve
+
+    @property
+    def ok(self) -> bool:
+        return self.diagnostic is None
 
 
 @dataclass
@@ -85,7 +88,7 @@ def _scan_row(space, f, M, R, c, opts) -> TauRow:
     r_plus, dU_plus = (nan, nan) if prof.r_plus is None else (prof.r_plus, prof.dU_plus)
     return TauRow(R=float(R), tau_plus=dU_plus ** 2 / c, tau_minus=dU_minus ** 2 / c,
                   r_minus=r_minus, r_plus=r_plus, dU_minus=dU_minus, dU_plus=dU_plus,
-                  ok=prof.admissible, diagnostic=prof.failure)
+                  diagnostic=prof.failure)
 
 
 def tau_scan(space, f: Nonlinearity, M: float, R_grid,

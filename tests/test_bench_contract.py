@@ -24,12 +24,14 @@ def test_first_stratum_of_seed_one_passes_its_checks(name, tmp_path):
 
 def test_tracer_wraps_every_binding_and_counts_the_solves(tmp_path):
     """install() refuses when a binding of a wrapped function is left; a
-    traced scan op counts one solve per grid radius plus the normalization."""
+    traced scan op counts one solve per grid radius plus the normalization,
+    and every solve as admissible except the rows that are not."""
     tr = tracer.Tracer()
     assert tr.install() > 0
     try:
         inp = workloads.make_inputs("scan", 1, workloads.TIMED_STREAM, 1)[0]
-        tr.run_op(0, workloads.Workload("scan", tmp_path).run, inp)
+        res = tr.run_op(0, workloads.Workload("scan", tmp_path).run, inp)
     finally:
         tr.uninstall()
     assert tr.ops[0].solves == len(inp.grid) + 1
+    assert tr.ops[0].admissible == tr.ops[0].solves - res.rows_not_admissible

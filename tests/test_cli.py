@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import struct
 import subprocess
 import sys
@@ -86,6 +87,26 @@ def test_numerical_exit_code(capsys):
     assert code == 3
     msg = json.loads(err.strip())
     assert msg["error"] == "numerical"
+
+
+def test_turn_text_states_the_value_of_U(capsys):
+    """A turn at U > 0 says that U' vanished before the zero. A turn where
+    the last step's quartic dips to U <= 0 states that value and that U kept
+    its sign at the step ends, and claims no zero ahead; both exit 3. The
+    second is allen_cahn:2 on H^3, whose tail is critically damped."""
+    code, out, err = run_cli(["profile", "--n", "3", "--k", "0", "--f", "polynomial:-0.5,1",
+                              "--R", "0", "--M", "1.0", "--cap", "50"], capsys)
+    msg = json.loads(err)["message"]
+    m = re.fullmatch(r"derivative vanished before the zero at r=(\S+) \(U=(\S+)\); "
+                     r"profile turns", msg)
+    assert code == 3 and out == "" and m and float(m[2]) > 0
+    code, out, err = run_cli(["profile", "--n", "3", "--k", "-1", "--f", "allen_cahn:2",
+                              "--R", "2", "--M", "0.2"], capsys)
+    msg = json.loads(err)["message"]
+    m = re.fullmatch(r"derivative vanished at r=(\S+) with U=(\S+) <= 0, but U did not "
+                     r"change sign at the step ends; profile turns", msg)
+    assert code == 3 and out == "" and m, msg
+    assert float(m[1]) == pytest.approx(48.265, abs=1e-3) and float(m[2]) <= 0
 
 
 def test_gap_positive_curvature_empty(tmp_path, capsys):

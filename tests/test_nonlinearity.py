@@ -3,7 +3,8 @@ import pytest
 
 from radcomp import SpaceForm
 from radcomp.errors import DomainError
-from radcomp.nonlinearity import (affine, allen_cahn, bratu, check_derivative_bound,
+from radcomp.nonlinearity import (ConditionResult, affine, allen_cahn, bratu,
+                                  check_derivative_bound,
                                   check_standard_conditions,
                                   check_tau_monotonicity_condition, condition_grid,
                                   constant, from_cli_spec, from_descriptor,
@@ -84,6 +85,14 @@ def test_tau_monotonicity_condition():
     res = check_tau_monotonicity_condition(lane_emden(2.0),
                                            np.linspace(0.01, 1.0, 64))
     assert not res.ok
+
+
+def test_condition_ok_is_read_from_its_witness():
+    res = check_derivative_bound(affine(2.5, 1.0), SpaceForm(3, 1.0))
+    assert res.witness is not None and not res.ok and not res
+    with pytest.raises(AttributeError):
+        res.ok = True
+    assert ConditionResult(None, "holds").ok
 
 
 def test_violation_persists_under_refinement():

@@ -14,9 +14,9 @@ from radcomp import ode
 from radcomp.closedform import _g_integrand
 from radcomp.errors import (DomainError, NoZeroFound, NotAdmissible, QuadratureError,
                             SolveFailure, StepFailure)
-from radcomp.ode import (_GROWTH, _WG, _XGK, _ZERO_FLOOR, _ZERO_TOL, FailureCode,
-                         SolveStats, _eval_piece, _event_root, _leg_pieces, _qk21, _quartic,
-                         _run_leg, bracketed_newton, gauss_kronrod)
+from radcomp.ode import (_GROWTH, _WG, _XGK, _ZERO_FLOOR, _ZERO_TOL, SolveStats, _eval_piece,
+                         _event_root, _leg_pieces, _qk21, _quartic, _run_leg,
+                         bracketed_newton, gauss_kronrod)
 from radcomp.spaceform import _SERIES_CUT
 
 from solver_checks import (NO_DRIFT, Equation, assert_residue_is_the_limit, fd_residual,
@@ -201,7 +201,9 @@ def test_singular_start_degenerate_forcing():
     prof = exc.value.profile
     start = prof._legs[0][0]
     assert start[0] == ode._EPS_START and start[2] == 1.0 and start[3] == 0.0
-    assert prof.failure_code is FailureCode.NOT_ADMISSIBLE
+    assert exc.type is NotAdmissible
+    # the flat leg ends at the cap without a zero, and f(M) <= 0 outranks it
+    assert prof.failure == "core is not a strict local maximum: f(M) = 0.0 <= 0"
 
 
 def test_solve_generic_matches_radial_bitwise():
@@ -259,6 +261,31 @@ def test_not_admissible_turning_profile():
     assert abs(prof.du(prof.r_hi)) < 1e-12
 
 
+def test_failure_precedence_over_the_legs():
+    """The outward leg turns at U = 2.60 (NotAdmissible) and the inward leg
+    ends without a zero (NoZeroFound): the solve raises NoZeroFound, which
+    comes before NotAdmissible, with both diagnostics joined by "; "."""
+    with pytest.raises(SolveFailure) as exc:
+        solve_profile(SpaceForm(2, -1.0), polynomial([1.0, -3.0, 1.0]),
+                      CauchyData(1.8572718701325317, 2.6632442509422094))
+    prof = exc.value.profile
+    assert exc.type is NoZeroFound and str(exc.value) == prof.failure
+    assert prof.r_minus is None and prof.r_plus is None
+    turn, no_zero = prof.failure.split("; profile turns; ")
+    assert turn.startswith("derivative vanished before the zero at r=")
+    assert float(turn.split("(U=")[1].rstrip(")")) == pytest.approx(2.603, abs=1e-3)
+    assert no_zero == f"no sign change of U down to r={_ZERO_FLOOR}"
+
+
+def test_admissible_is_read_from_the_failure():
+    prof = solve_profile(SpaceForm(3, 0.0), constant(1.0), CauchyData(0.0, 1.0))
+    assert prof.admissible and prof.failure is None
+    with pytest.raises(AttributeError):
+        prof.admissible = False
+    prof.failure = "a diagnostic"
+    assert not prof.admissible and not prof.summary()["admissible"]
+
+
 def test_no_zero_found_at_singular_endpoint():
     # n = 2 on the sphere: U' ~ 2 f / (r - pi) near the far pole, so U falls
     # only logarithmically and a small forcing keeps U > 0 up to r_bar
@@ -267,7 +294,7 @@ def test_no_zero_found_at_singular_endpoint():
         solve_profile(sf, constant(1e-3), CauchyData(0.0, 1.0))
     prof = exc.value.profile
     assert "reached the singular endpoint" in str(exc.value)
-    assert prof.failure_code is FailureCode.NO_ZERO and prof.r_plus is None
+    assert exc.type is NoZeroFound and prof.r_plus is None
 
 
 def test_failed_solve_carries_diagnostic_profile():
@@ -622,7 +649,7 @@ def test_step_size_underflow_raises_step_failure(f):
     with pytest.raises(StepFailure) as exc:
         solve_profile(SpaceForm(3, 1.0), f, CauchyData(0.9, 0.75))
     prof = exc.value.profile
-    assert not prof.admissible and prof.failure_code is FailureCode.STEP_FAILURE
+    assert not prof.admissible and exc.type is StepFailure
     assert "spacing between floats" in prof.failure
 
 
@@ -634,7 +661,7 @@ def test_step_failure_of_one_leg_keeps_the_other_leg():
     with pytest.raises(StepFailure) as exc:
         solve_profile(sf, constant(1.0), CauchyData(sf.r_bar - 4.1e-3, 0.02))
     prof = exc.value.profile
-    assert prof.failure_code is FailureCode.STEP_FAILURE and not prof.admissible
+    assert exc.type is StepFailure and not prof.admissible
     assert str(exc.value) == prof.failure and "spacing between floats" in prof.failure
     assert prof.r_plus is None and prof.r_minus == pytest.approx(12867.68, abs=1e-2)
     assert abs(prof.u(prof.r_minus)) < 1e-12
@@ -741,10 +768,10 @@ def _core_radius(sf, where, t):
 @settings(max_examples=150, deadline=None)
 def test_every_solve_is_admissible_or_diagnosed(k, family, n, where, t, u):
     """A solve gives either an admissible profile, whose zeros bracket the
-    core and pass the solver's slope-scaled zero test, or raises the
-    exception that its failure code names, carrying the failed profile and
-    its explanation. A core radius too close to the pole at 0 to resolve,
-    but not on it, is refused before any solve."""
+    core and pass the solver's slope-scaled zero test, or raises one of the
+    three failure classes, carrying the failed profile and its explanation.
+    A core radius too close to the pole at 0 to resolve, but not on it, is
+    refused before any solve."""
     sf = SpaceForm(n, k)
     f = {"constant": constant(1.0), "serrin_fk": serrin_fk(n, k),
          "affine": affine(-0.25, 2.5)}[family]
@@ -758,12 +785,10 @@ def test_every_solve_is_admissible_or_diagnosed(k, family, n, where, t, u):
         prof = solve_profile(sf, f, CauchyData(R, M))
     except SolveFailure as e:
         prof = e.profile
-        named = {FailureCode.NO_ZERO: NoZeroFound, FailureCode.NOT_ADMISSIBLE: NotAdmissible,
-                 FailureCode.STEP_FAILURE: StepFailure}[prof.failure_code]
-        assert type(e) is named
+        assert type(e) in (StepFailure, NoZeroFound, NotAdmissible)
         assert not prof.admissible and prof.failure and str(e) == prof.failure
         return
-    assert prof.failure is None and prof.failure_code is None
+    assert prof.failure is None and prof.admissible
     assert prof.r_minus is not None or prof.r_plus is not None
     for r, du in ((prof.r_minus, prof.dU_minus), (prof.r_plus, prof.dU_plus)):
         if r is not None:

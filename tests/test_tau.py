@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -175,7 +176,7 @@ def test_flat_gap_refuses_crossed_limits():
     sf = SpaceForm(2, 0.0)
     nan = math.nan
     rows = [TauRow(R=R, tau_plus=2.001, tau_minus=1.999, r_minus=nan, r_plus=nan,
-                   dU_minus=nan, dU_plus=nan, ok=True, diagnostic=None)
+                   dU_minus=nan, dU_plus=nan, diagnostic=None)
             for R in range(10, 70, 10)]
     table = TauTable(space=sf, f=serrin_fk(2, 0.0), M=1.0, c_norm=1.0, rows=rows)
     with pytest.raises(InsufficientRange, match="plus limit 2.00.* exceeds minus limit 1.99"):
@@ -407,6 +408,15 @@ def test_centered_failure_propagates():
     bad = polynomial([-0.5, 1.0])  # turns before reaching zero
     with pytest.raises(NotAdmissible):
         tau_scan(sf, bad, 1.0, [0.0, 1.0], SolveOptions(r_max_cap=30.0))
+
+
+def test_row_ok_is_read_from_its_diagnostic():
+    nan = math.nan
+    row = TauRow(R=1.0, tau_plus=nan, tau_minus=nan, r_minus=nan, r_plus=nan,
+                 dU_minus=nan, dU_plus=nan, diagnostic="no sign change of U")
+    assert not row.ok and dataclasses.replace(row, diagnostic=None).ok
+    with pytest.raises(AttributeError):
+        row.ok = True
 
 
 def test_failed_rows_carry_diagnostics():

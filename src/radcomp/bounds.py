@@ -170,16 +170,14 @@ def mu_sign_scan(pair: ComparisonPair, npoints: int = 400) -> MuScanReport:
 
 
 def mu_at_boundary(pair: ComparisonPair) -> float:
-    """Boundary value of mu by one-sided Richardson extrapolation (3 nodes at
-    1, 2 and 4 thousandths of the branch width from the boundary)."""
-    rb = pair.r_boundary
-    w = pair._hi - pair._lo
-    d = 1e-3 * w
-    sgn = -1.0 if pair.sign == "plus" else 1.0
-    m1 = pair.mu_of_r(rb + sgn * d)
-    m2 = pair.mu_of_r(rb + sgn * 2 * d)
-    m3 = pair.mu_of_r(rb + sgn * 4 * d)
-    return (8.0 * m1 - 6.0 * m2 + m3) / 3.0
+    """Boundary value of mu, exact from the equation at the zero r_b: there
+    U = 0 and U'' = -(n-1) cot_k U' - f(0), so lambda = (n cot_k(r_b) U'(r_b)
+    + f(0)) / U'(r_b)^2 with the slope the solver found at the zero."""
+    prof, sf = pair.profile, pair.sf
+    du = prof.dU_plus if pair.sign == "plus" else prof.dU_minus
+    n, f0 = sf.n, prof.f(0.0)
+    lam = (n * sf.cotk(pair.r_boundary) * du + f0) / (du * du)
+    return prof.f.d(0.0) - n * sf.k + (n + 2.0) / n * lam * f0
 
 
 @dataclass

@@ -89,6 +89,15 @@ def _ints(text: str) -> list:
                                          f"got {text!r}") from None
 
 
+def _family(text: str) -> tuple:
+    """ell,m1,m2: the degree and the two multiplicities of an isoparametric
+    family."""
+    vals = _ints(text)
+    if len(vals) != 3:
+        raise argparse.ArgumentTypeError(f"expected ell,m1,m2, got {text!r}")
+    return tuple(vals)
+
+
 def _emit(lines_or_obj, path, as_json=False):
     if as_json:
         text = output.dumps_json(lines_or_obj)
@@ -135,17 +144,18 @@ def _apply_config(args):
     return args
 
 
-def _nl(args, sf):
+def _problem(args):
+    """The space that --n with --k or --family names, and the nonlinearity
+    that --f names on it; a bare serrin takes (n, k) from a space form."""
+    if args.family is None:
+        space = sf = SpaceForm(args.n, args.k)
+    elif args.k is None:
+        space, sf = IsoparametricFamily(*args.family, args.n), None
+    else:  # the parser excludes this, so only a --config gets here
+        raise DomainError("--k and --family exclude each other")
     if isinstance(args.f, dict):
-        return from_descriptor(args.f)
-    return from_cli_spec(args.f, sf)
-
-
-def _emit_profile(prof, args):
-    """The profile CSV, and its summary as JSON when asked for."""
-    _emit(output.profile_csv_lines(prof, npoints=args.points), args.csv)
-    if args.json:
-        _emit(prof.summary(), args.json, as_json=True)
+        return space, from_descriptor(args.f)
+    return space, from_cli_spec(args.f, sf)
 
 
 def _branches(prof):
@@ -155,16 +165,17 @@ def _branches(prof):
 
 
 def cmd_profile(args):
-    sf = SpaceForm(args.n, args.k)
-    f = _nl(args, sf)
-    _emit_profile(solve_profile(sf, f, CauchyData(args.R, args.M), _solve_options(args)), args)
+    space, f = _problem(args)
+    prof = solve_profile(space, f, CauchyData(args.R, args.M), _solve_options(args))
+    _emit(output.profile_csv_lines(prof, npoints=args.points), args.csv)
+    if args.json:
+        _emit(prof.summary(), args.json, as_json=True)
     return 0
 
 
 def cmd_tau_scan(args):
-    sf = SpaceForm(args.n, args.k)
-    f = _nl(args, sf)
-    table = tau_scan(sf, f, args.M, args.r_grid, _solve_options(args))
+    space, f = _problem(args)
+    table = tau_scan(space, f, args.M, args.r_grid, _solve_options(args))
     # the gap before the CSV, so that a refused gap prints nothing
     gap = output.gap_json(table, gap_estimate(table)) if args.json else None
     _emit(output.tau_csv_lines(table), args.csv)
@@ -174,17 +185,17 @@ def cmd_tau_scan(args):
 
 
 def cmd_gap(args):
-    sf = SpaceForm(args.n, args.k)
-    f = _nl(args, sf)
+    space, f = _problem(args)
+    lo, hi = space.interval
     if args.r_grid is not None:
         grid = args.r_grid
-    elif sf.k > 0:
-        grid = np.linspace(0.0, sf.r_bar * (1 - 1e-3), 41)
+    elif math.isfinite(hi):
+        grid = np.linspace(lo, hi * (1 - 1e-3), 41)
     else:
-        rmax = 50.0 if sf.k == 0 else 14.0
+        rmax = 50.0 if space.k == 0 else 14.0
         grid = np.concatenate([np.geomspace(0.05, 2.0, 10),
                                np.linspace(2.5, rmax, 30)])
-    table = tau_scan(sf, f, args.M, grid, _solve_options(args))
+    table = tau_scan(space, f, args.M, grid, _solve_options(args))
     est = gap_estimate(table)
     _emit(output.gap_json(table, est), args.json, as_json=True)
     if args.csv:
@@ -193,9 +204,8 @@ def cmd_gap(args):
 
 
 def cmd_mu_check(args):
-    sf = SpaceForm(args.n, args.k)
-    f = _nl(args, sf)
-    prof = solve_profile(sf, f, CauchyData(args.R, args.M), _solve_options(args))
+    space, f = _problem(args)
+    prof = solve_profile(space, f, CauchyData(args.R, args.M), _solve_options(args))
     report = {sign: dataclasses.asdict(mu_sign_scan(ComparisonPair(prof, sign),
                                                     npoints=args.grid))
               for sign in _branches(prof)}
@@ -204,18 +214,10 @@ def cmd_mu_check(args):
 
 
 def cmd_bounds(args):
-    sf = SpaceForm(args.n, args.k)
-    f = _nl(args, sf)
-    prof = solve_profile(sf, f, CauchyData(args.R, args.M), _solve_options(args))
+    space, f = _problem(args)
+    prof = solve_profile(space, f, CauchyData(args.R, args.M), _solve_options(args))
     pair = ComparisonPair(prof, args.sign)
     _emit(bound_report(pair, r_Omega=args.r_omega), args.json, as_json=True)
-    return 0
-
-
-def cmd_iso(args):
-    fam = IsoparametricFamily(args.ell, args.m1, args.m2, args.n)
-    f = _nl(args, None)
-    _emit_profile(solve_profile(fam, f, CauchyData(args.S, args.M), _solve_options(args)), args)
     return 0
 
 
@@ -287,11 +289,15 @@ def build_parser():
 
     def common(sp, core_radius=True):
         sp.add_argument("--n", type=int, required=True, help="dimension (>= 2)")
-        sp.add_argument("--k", type=float, required=True, help="curvature bound")
+        space = sp.add_mutually_exclusive_group(required=True)
+        space.add_argument("--k", type=float, help="curvature bound of a space form")
+        space.add_argument("--family", type=_family,
+                           help="ell,m1,m2 of an isoparametric family on the unit sphere")
         sp.add_argument("--f", required=True,
                         help="nonlinearity spec, e.g. constant:1 or affine:-0.25,2.5")
         if core_radius:
-            sp.add_argument("--R", type=float, required=True, help="core radius")
+            sp.add_argument("--R", type=float, required=True,
+                            help="core radius (the core leaf S on a family)")
         sp.add_argument("--M", type=float, required=True, help="maximum value")
         solver(sp)
         sp.add_argument("--cap", type=float, default=None, help="outward radius cap")
@@ -324,20 +330,6 @@ def build_parser():
     sp.add_argument("--sign", choices=("plus", "minus"), default="plus")
     sp.add_argument("--r-omega", type=float, default=None)
     sp.add_argument("--json", default="-")
-
-    # the leaf interval (0, pi/ell) is finite, so iso has no outward cap
-    sp = command("iso", cmd_iso, "solve a profile along an isoparametric foliation")
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--m1", type=int, required=True)
-    sp.add_argument("--m2", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--S", type=float, required=True)
-    sp.add_argument("--M", type=float, required=True)
-    solver(sp)
-    sp.add_argument("--points", type=_count, default=401)
-    sp.add_argument("--csv", default="-")
-    sp.add_argument("--json", default=None)
 
     sp = command("fig-gap", cmd_fig_gap, "boundary-derivative-sum curves (k = -1)")
     sp.add_argument("--n", type=_ints, default="2,3,4", help="comma-separated dimensions")

@@ -222,14 +222,15 @@ def _check(f: Nonlinearity, grid, slack_of, ok_message: str) -> ConditionResult:
     """The frame of every condition check, on `grid` or the default grid.
 
     slack_of(grid) returns (samples, slack, message): the first sample whose
-    slack is below -_COND_TOL is the witness, explained by message(witness).
+    slack is not at least -_COND_TOL (a NaN slack included) is the witness,
+    explained by message(witness).
     An empty grid is refused, since every condition holds on it vacuously.
     """
     grid = condition_grid(f) if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DomainError("empty condition grid")
     samples, slack, message = slack_of(grid)
-    bad = np.nonzero(np.asarray(slack) < -_COND_TOL)[0]
+    bad = np.nonzero(~(np.asarray(slack) >= -_COND_TOL))[0]
     if bad.size == 0:
         return ConditionResult(None, ok_message)
     w = float(samples[bad[0]])

@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 from radcomp import (CauchyData, ComparisonPair, SolveOptions, SpaceForm, affine,
                      allen_cahn, area_ratio_factor, constant, curvature_bounds,
                      hotspot_bounds, isoperimetric_coarea_ratio,
-                     isoperimetric_model_ratio, mu_at_boundary, mu_sign_scan,
-                     serrin_fk, serrin_lower_bound, solve_profile)
+                     isoperimetric_model_ratio, lane_emden, mu_at_boundary,
+                     mu_sign_scan, serrin_fk, serrin_lower_bound, solve_profile)
 from radcomp.errors import DomainError
 
 from solver_checks import solve_or_failure
@@ -138,6 +138,20 @@ def test_mu_allen_cahn_boundary_values():
     for sign in ("plus", "minus"):
         val = mu_at_boundary(ComparisonPair(prof, sign))
         assert val == pytest.approx(1.0 - n, abs=1e-3)
+
+
+def test_mu_at_boundary_from_the_equation():
+    """At a zero U = 0, and the equation gives U'' there; f = x|x| has
+    f(0) = f'(0) = 0, so at k = 0 mu vanishes at both zeros, exactly."""
+    prof = solve_profile(SpaceForm(2, 0.0), lane_emden(1.0), CauchyData(0.8, 1.2))
+    for sign in ("plus", "minus"):
+        assert mu_at_boundary(ComparisonPair(prof, sign)) == 0.0
+    # with f(0) != 0 the lambda part counts too: mu near the zero tends to it
+    prof = solve_profile(SpaceForm(3, 1.0), affine(-0.25, 2.5), CauchyData(1.0, 1.0))
+    for sign, inward in (("plus", -1.0), ("minus", 1.0)):
+        pair = ComparisonPair(prof, sign)
+        near = pair.r_boundary + inward * 1e-6 * abs(pair.r_boundary - pair.R)
+        assert mu_at_boundary(pair) == pytest.approx(pair.mu_of_r(near), abs=1e-4)
 
 
 def test_mu_sign_scan_serrin_nonnegative():

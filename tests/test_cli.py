@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import inspect
@@ -228,27 +229,42 @@ def test_tau_scan_json_summary(tmp_path, capsys):
         assert key in payload
 
 
-def test_iso_subcommand(tmp_path, capsys):
-    csv = tmp_path / "iso.csv"
-    code, _, _ = run_cli(["iso", "--ell", "2", "--m1", "1", "--m2", "1", "--n", "3",
-                          "--f", "constant:1", "--S", "0.785398", "--M", "0.1",
-                          "--csv", str(csv)], capsys)
+def test_profile_on_a_family(capsys):
+    """profile --family solves along the foliation and prints what the
+    library's one writer prints for that solve."""
+    code, out, _ = run_cli(FAMILY, capsys)
     assert code == 0
-    header = json.loads(csv.read_text().splitlines()[0][2:])
-    assert header["ell"] == 2
+    prof = radcomp.solve_profile(radcomp.IsoparametricFamily(2, 1, 1, 3),
+                                 radcomp.constant(1.0), radcomp.CauchyData(0.7854, 0.1))
+    assert out == "\n".join(radcomp.output.profile_csv_lines(prof, npoints=401)) + "\n"
+    header = json.loads(out.splitlines()[0][2:])
+    assert header["ell"] == 2 and "k" not in header
     assert header["r_minus"] is not None and header["r_plus"] is not None  # a leaf band
 
 
-def test_iso_json_carries_the_slopes(capsys):
-    """iso --json is the profile summary: it carries the slopes at both
-    zeros, as profile --json does."""
-    code, out, _ = run_cli(ISO + ["--csv", os.devnull, "--json", "-"], capsys)
+def test_family_profile_json_carries_the_slopes(capsys):
+    """profile --json on a family is the profile summary: it carries the
+    slopes at both zeros, as on a space form."""
+    code, out, _ = run_cli(FAMILY + ["--csv", os.devnull, "--json", "-"], capsys)
     assert code == 0
     payload = json.loads(out)
     prof = radcomp.solve_profile(radcomp.IsoparametricFamily(2, 1, 1, 3),
                                  radcomp.constant(1.0), radcomp.CauchyData(0.7854, 0.1))
     assert (payload["dU_minus"], payload["dU_plus"]) == (prof.dU_minus, prof.dU_plus)
     assert payload["dU_minus"] > 0 > payload["dU_plus"]
+
+
+def test_tau_scan_on_a_family(capsys):
+    """tau-scan --family scans the core leaf and writes the family header."""
+    code, out, _ = run_cli(["tau-scan", "--n", "4", "--family", "2,1,2", "--f", "constant:1",
+                            "--M", "0.01", "--r-grid", "0:1.5:5"], capsys)
+    assert code == 0
+    table = radcomp.tau_scan(radcomp.IsoparametricFamily(2, 1, 2, 4), radcomp.constant(1.0),
+                             0.01, np.linspace(0, 1.5, 5))
+    assert out == "\n".join(radcomp.output.tau_csv_lines(table)) + "\n"
+    header = json.loads(out.splitlines()[0][2:])
+    assert (header["ell"], header["m1"], header["m2"], header["n"]) == (2, 1, 2, 4)
+    assert "k" not in header
 
 
 def test_fig_gap_subcommand(tmp_path, capsys):
@@ -283,12 +299,12 @@ def test_config_override(tmp_path, capsys):
 
 PROFILE = ["profile", "--n", "2", "--k", "0", "--f", "constant:1", "--R", "0", "--M", "0.5"]
 ANNULUS = ["profile", "--n", "3", "--k", "0", "--f", "constant:1", "--R", "0.5", "--M", "0.1"]
-ISO = ["iso", "--ell", "2", "--m1", "1", "--m2", "1", "--n", "3", "--f", "constant:1",
-       "--S", "0.7854", "--M", "0.1"]
+FAMILY = ["profile", "--n", "3", "--family", "2,1,1", "--f", "constant:1",
+          "--R", "0.7854", "--M", "0.1"]
 MALFORMED = {  # id: (arguments, contents of a --config file or None)
     "f-params-not-numbers": (PROFILE[:6] + ["constant:abc"] + PROFILE[7:], None),
     "profile-points-negative": (PROFILE + ["--points", "-1"], None),
-    "iso-points-negative": (ISO + ["--points", "-1"], None),
+    "family-points-negative": (FAMILY + ["--points", "-1"], None),
     "mu-check-grid-negative": (["mu-check"] + PROFILE[1:] + ["--grid", "-1"], None),
     "r-grid-count-not-integer": (["tau-scan", "--n", "3", "--k", "1", "--f", "serrin",
                                   "--M", "1.0", "--r-grid", "0:1:abc"], None),
@@ -328,6 +344,19 @@ MALFORMED = {  # id: (arguments, contents of a --config file or None)
                               "--M", "1", "--r-grid", "0:2:3"], None),
     "gap-M-at-sup-if": (["gap", "--n", "3", "--k", "-1", "--f", "serrin",
                          "--M", "0.3333333333333333"], None),
+    # the space is --k or --family, exactly one of them
+    "k-and-family": (PROFILE[:3] + ["--family", "2,1,1"] + PROFILE[3:], None),
+    "neither-k-nor-family": (PROFILE[:3] + PROFILE[5:], None),
+    "config-k-and-family": (PROFILE, {"family": "2,1,1"}),
+    "config-family-and-k": (FAMILY, {"k": 0}),
+    "family-not-three-integers": (FAMILY[:4] + ["2,1"] + FAMILY[5:], None),
+    "family-serrin": (FAMILY[:6] + ["serrin"] + FAMILY[7:], None),
+    # the bounds and the gap need the radial equation; the library refuses a family
+    "family-bounds": (["bounds"] + FAMILY[1:], None),
+    "family-mu-check": (["mu-check"] + FAMILY[1:], None),
+    "family-gap": (["gap"] + FAMILY[1:7] + FAMILY[9:], None),
+    "family-tau-scan-json": (["tau-scan"] + FAMILY[1:7] + FAMILY[9:]
+                             + ["--r-grid", "0:1.5:4", "--json", "-"], None),
 }
 
 
@@ -339,8 +368,9 @@ def test_malformed_input_is_a_validation_error(args, config, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         args = [*args, "--config", str(path)]
-    code, _, err = run_cli(args, capsys)
+    code, out, err = run_cli(args, capsys)
     assert code == 2
+    assert out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "validation"
 
@@ -398,22 +428,23 @@ def test_tau_scan_refused_gap_writes_no_csv(tmp_path, capsys):
     assert out == "" and not csv.exists()
 
 
-def test_iso_core_on_the_far_focal_pole(tmp_path, capsys):
+def test_profile_core_on_the_far_focal_pole(tmp_path, capsys):
     """S within the solver's pole tolerance of pi/ell starts from that pole."""
-    js = tmp_path / "iso.json"
-    code, _, _ = run_cli(["iso", "--ell", "4", "--m1", "1", "--m2", "2", "--n", "7",
-                          "--f", "constant:1", "--S", "0.7853981633975", "--M", "0.01",
-                          "--csv", str(tmp_path / "iso.csv"), "--json", str(js)], capsys)
+    js = tmp_path / "cap.json"
+    code, _, _ = run_cli(["profile", "--n", "7", "--family", "4,1,2", "--f", "constant:1",
+                          "--R", "0.7853981633975", "--M", "0.01",
+                          "--csv", str(tmp_path / "cap.csv"), "--json", str(js)], capsys)
     assert code == 0
     header = json.loads(js.read_text())
     assert header["r_plus"] is None and header["r_minus"] is not None  # a focal cap
 
 
-def test_iso_has_no_outward_cap(capsys):
-    """The leaf interval is finite, so iso takes no --cap."""
-    code, _, err = run_cli(ISO + ["--cap", "10"], capsys)
-    assert code == 2
-    assert "--cap" in json.loads(err)["message"]
+def test_cap_has_no_effect_on_a_family(capsys):
+    """The outward cap bounds only an infinite interval; the leaf interval
+    (0, pi/ell) is finite."""
+    _, plain, _ = run_cli(FAMILY, capsys)
+    code, capped, _ = run_cli(FAMILY + ["--cap", "0.01"], capsys)
+    assert code == 0 and capped == plain
 
 
 def test_fig_mu_subcommand(tmp_path, capsys):
@@ -536,6 +567,18 @@ def test_public_names_do_not_grow():
                 if not name.startswith("_") and name not in radcomp.__all__
                 and not (inspect.ismodule(obj) and obj.__name__ == f"radcomp.{name}")]
     assert not unlisted
+
+
+def test_cli_surface_does_not_grow():
+    """Command-line ratchet: the subcommands, and the flags summed over them
+    (help left out). A new command or flag is an option to test and
+    document, so raising the bound is a deliberate edit."""
+    sub = next(a for a in radcomp.cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"profile", "tau-scan", "gap", "mu-check", "bounds",
+                                "fig-gap", "fig-mu", "selftest"}
+    assert sum(len([a for a in sp._actions if a.option_strings and a.dest != "help"])
+               for sp in sub.choices.values()) <= 74
 
 
 def test_no_module_imports_scipy():
@@ -669,8 +712,8 @@ def test_failing_hypothesis_test_reports_its_example(tmp_path, pytestconfig):
 
 @pytest.mark.parametrize("args", [
     ["profile", "--n", "3", "--k", "-1", "--f", "serrin", "--R", "1.5", "--M", "0.25"],
-    ["iso", "--ell", "2", "--m1", "1", "--m2", "1", "--n", "3", "--f", "constant:1",
-     "--S", "0.7854", "--M", "0.1"],
+    ["profile", "--n", "3", "--family", "2,1,1", "--f", "constant:1", "--R", "0.7854",
+     "--M", "0.1"],
     ["gap", "--n", "3", "--k", "0", "--f", "serrin", "--M", "1.0"]])
 def test_csv_bytes_do_not_depend_on_the_blas_kernel(args):
     """OpenBLAS built for several CPUs picks its kernels at run time; the

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from radcomp import SpaceForm
 from radcomp.errors import DomainError
-from radcomp.nonlinearity import (ConditionResult, affine, allen_cahn, bratu,
+from radcomp.nonlinearity import (ConditionResult, Nonlinearity, affine, allen_cahn, bratu,
                                   check_derivative_bound,
                                   check_standard_conditions,
                                   check_tau_monotonicity_condition, condition_grid,
@@ -93,6 +95,17 @@ def test_condition_ok_is_read_from_its_witness():
     with pytest.raises(AttributeError):
         res.ok = True
     assert ConditionResult(None, "holds").ok
+
+
+def test_nan_slack_is_a_violation():
+    """A sample where f or f' is NaN satisfies no inequality, so it is the
+    witness of every check."""
+    f = Nonlinearity("nanf", lambda x: math.nan, lambda x: math.nan)
+    sf = SpaceForm(3, 1.0)
+    grid = condition_grid(f)
+    for res in (check_standard_conditions(f, sf), check_derivative_bound(f, sf),
+                check_tau_monotonicity_condition(f)):
+        assert not res.ok and res.witness == grid[0]
 
 
 def test_violation_persists_under_refinement():

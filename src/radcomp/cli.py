@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure. Errors are
-emitted as one-line JSON objects on stderr so callers can machine-read them;
-that includes the parser's own errors (an unknown flag, a missing or
-malformed value). Every flag value is converted by its flag's type, on the
-command line and in a --config file alike.
+Exit codes: 0 success, 2 validation error, 3 numerical failure, 141 (128 +
+SIGPIPE) stdout closed by its reader, which drops the rest of the output.
+Errors are emitted as one-line JSON objects on stderr so callers can
+machine-read them; that includes the parser's own errors (an unknown flag, a
+missing or malformed value). Every flag value is converted by its flag's
+type, on the command line and in a --config file alike.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -22,10 +24,10 @@ from . import acceptance, output
 from .bounds import ComparisonPair, bound_report, mu_sign_scan
 from .errors import DomainError, NumericalError, RadcompError
 from .isoparametric import IsoparametricFamily
-from .nonlinearity import affine, from_cli_spec, from_descriptor
+from .nonlinearity import from_cli_spec, from_descriptor
 from .ode import CauchyData, SolveOptions, solve_profile
 from .spaceform import SpaceForm
-from .tau import figure_gap_curve, gap_estimate, tau_scan
+from .tau import _gap_space, gap_estimate, tau_scan
 
 
 def _solve_options(args) -> SolveOptions:
@@ -175,6 +177,8 @@ def cmd_profile(args):
 
 def cmd_tau_scan(args):
     space, f = _problem(args)
+    if args.json:
+        _gap_space(space)  # a refused gap solves nothing
     table = tau_scan(space, f, args.M, args.r_grid, _solve_options(args))
     # the gap before the CSV, so that a refused gap prints nothing
     gap = output.gap_json(table, gap_estimate(table)) if args.json else None
@@ -186,7 +190,7 @@ def cmd_tau_scan(args):
 
 def cmd_gap(args):
     space, f = _problem(args)
-    lo, hi = space.interval
+    lo, hi = _gap_space(space).interval  # a refused space solves nothing
     if args.r_grid is not None:
         grid = args.r_grid
     elif math.isfinite(hi):
@@ -221,48 +225,6 @@ def cmd_bounds(args):
     return 0
 
 
-def cmd_fig_gap(args):
-    grid = args.r_grid if args.r_grid is not None else np.linspace(0.5, 12.0, 24)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for n in args.n:
-        curve = figure_gap_curve(SpaceForm(n, -1.0), acceptance.FIG_GAP_M_TILDE, grid,
-                                 _solve_options(args))
-        output.write_text(outdir / f"gap_curve_n{n}.csv",
-                          output.gap_curve_csv_lines(curve))
-        print(f"n={n}: s tail = {output.fmt(curve.rows[-1][1])}, "
-              f"predicted = {output.fmt(curve.prediction['s_tail'])} "
-              f"-> {outdir / f'gap_curve_n{n}.csv'}")
-    return 0
-
-
-def cmd_fig_mu(args):
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    opts = _solve_options(args)
-    panels = {
-        "left": {"lam": -0.25, "beta": 2.5, "M": 1.0,
-                 "R": list(np.linspace(0.6, math.pi - 0.6, 9))},
-        "right": {"lam": 1.0, "beta": 2.9, "M": 1.0, "R": [math.pi / 2.0]},
-    }
-    sf = SpaceForm(3, 1.0)
-    for name, cfg in panels.items():
-        f = affine(cfg["lam"], cfg["beta"])
-        rows = []
-        for R in cfg["R"]:
-            prof = solve_profile(sf, f, CauchyData(R, cfg["M"]), opts)
-            for sign in _branches(prof):
-                scan = mu_sign_scan(ComparisonPair(prof, sign))
-                rows.append((R, sign == "plus" and 1 or -1, scan.min_mu,
-                             scan.argmin, scan.all_nonnegative))
-        header = {"panel": name, **{k: v for k, v in cfg.items() if k != "R"}}
-        output.write_text(outdir / f"mu_scan_{name}.csv",
-                          output.csv_lines(("R", "branch", "min_mu", "argmin",
-                                            "all_nonnegative"), rows, header))
-        print(f"{name} panel -> {outdir / f'mu_scan_{name}.csv'}")
-    return 0
-
-
 def cmd_selftest(args):
     results = acceptance.run_all(outdir=args.outdir, only=args.only)
     for res in results:
@@ -282,11 +244,6 @@ def build_parser():
         sp.set_defaults(func=func, parser=sp)
         return sp
 
-    def solver(sp):
-        sp.add_argument("--rtol", type=float, default=None)
-        sp.add_argument("--atol", type=float, default=None)
-        sp.add_argument("--config", default=None, help="JSON file overriding flags")
-
     def common(sp, core_radius=True):
         sp.add_argument("--n", type=int, required=True, help="dimension (>= 2)")
         space = sp.add_mutually_exclusive_group(required=True)
@@ -299,7 +256,9 @@ def build_parser():
             sp.add_argument("--R", type=float, required=True,
                             help="core radius (the core leaf S on a family)")
         sp.add_argument("--M", type=float, required=True, help="maximum value")
-        solver(sp)
+        sp.add_argument("--rtol", type=float, default=None)
+        sp.add_argument("--atol", type=float, default=None)
+        sp.add_argument("--config", default=None, help="JSON file overriding flags")
         sp.add_argument("--cap", type=float, default=None, help="outward radius cap")
 
     sp = command("profile", cmd_profile, "solve one radial profile, export CSV")
@@ -331,16 +290,6 @@ def build_parser():
     sp.add_argument("--r-omega", type=float, default=None)
     sp.add_argument("--json", default="-")
 
-    sp = command("fig-gap", cmd_fig_gap, "boundary-derivative-sum curves (k = -1)")
-    sp.add_argument("--n", type=_ints, default="2,3,4", help="comma-separated dimensions")
-    sp.add_argument("--r-grid", type=_grid, default=None)
-    sp.add_argument("--outdir", default="fig_gap")
-    solver(sp)
-
-    sp = command("fig-mu", cmd_fig_mu, "mu sign scans for the affine panels")
-    sp.add_argument("--outdir", default="fig_mu")
-    solver(sp)
-
     sp = command("selftest", cmd_selftest, "run the acceptance suite")
     sp.add_argument("--outdir", default=None, help="directory for CSV artifacts")
     sp.add_argument("--only", type=_ints, default=None,
@@ -352,7 +301,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _apply_config(parser.parse_args(argv))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: the output ends here, and the interpreter's
+        # last flush sends what is left to devnull instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except DomainError as e:
         print(json.dumps({"error": "validation", "message": str(e)}), file=sys.stderr)
         return 2

@@ -160,6 +160,14 @@ def _inverse_r_extrapolation(R, vals):
     return limit, err
 
 
+def _gap_space(space) -> SpaceForm:
+    """The space form whose radial equation the gap estimate reads; it raises
+    DomainError on any other space, so a caller can refuse one before a scan."""
+    if not isinstance(space, SpaceForm):
+        raise DomainError("gap estimation needs the radial equation of a space form")
+    return space
+
+
 def gap_estimate(table: TauTable) -> GapEstimate:
     """Admissible set and gap from a sampled tau table.
 
@@ -187,9 +195,7 @@ def gap_estimate(table: TauTable) -> GapEstimate:
     A table over an isoparametric family raises DomainError, and one whose
     successful rows have no finite tau_plus raises InsufficientRange.
     """
-    sf, f = table.space, table.f
-    if not isinstance(sf, SpaceForm):
-        raise DomainError("gap estimation needs the radial equation of a space form")
+    sf, f = _gap_space(table.space), table.f
     plus, minus = table.images
     if plus is None:
         raise InsufficientRange("gap estimation needs a successful row with an outer "

@@ -267,19 +267,6 @@ def test_tau_scan_on_a_family(capsys):
     assert "k" not in header
 
 
-def test_fig_gap_subcommand(tmp_path, capsys):
-    out = tmp_path / "figs"
-    code, stdout, _ = run_cli(["fig-gap", "--n", "2,3", "--r-grid", "1:8:8",
-                               "--outdir", str(out)], capsys)
-    assert code == 0
-    for n in (2, 3):
-        lines = (out / f"gap_curve_n{n}.csv").read_text().splitlines()
-        assert lines[1] == "R,s"
-        svals = [float(row.split(",")[1]) for row in lines[2:]]
-        assert all(v > 0 for v in svals)
-        assert all(a > b for a, b in zip(svals, svals[1:]))
-
-
 def test_config_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"M": 0.5}))
@@ -308,7 +295,6 @@ MALFORMED = {  # id: (arguments, contents of a --config file or None)
     "mu-check-grid-negative": (["mu-check"] + PROFILE[1:] + ["--grid", "-1"], None),
     "r-grid-count-not-integer": (["tau-scan", "--n", "3", "--k", "1", "--f", "serrin",
                                   "--M", "1.0", "--r-grid", "0:1:abc"], None),
-    "fig-gap-dims-not-integers": (["fig-gap", "--n", "2,x"], None),
     "selftest-unknown-criterion": (["selftest", "--only", "99"], None),
     "selftest-criterion-not-integer": (["selftest", "--only", "a"], None),
     "config-params-arity": (PROFILE, {"f": {"family": "affine", "params": [1.0]}}),
@@ -447,17 +433,6 @@ def test_cap_has_no_effect_on_a_family(capsys):
     assert code == 0 and capped == plain
 
 
-def test_fig_mu_subcommand(tmp_path, capsys):
-    out = tmp_path / "mu"
-    code, _, _ = run_cli(["fig-mu", "--outdir", str(out)], capsys)
-    assert code == 0
-    for panel in ("left", "right"):
-        lines = (out / f"mu_scan_{panel}.csv").read_text().splitlines()
-        assert lines[1] == "R,branch,min_mu,argmin,all_nonnegative"
-        flags = [row.split(",")[-1] for row in lines[2:]]
-        assert all(v == "true" for v in flags)
-
-
 def test_model_gradient_critical_level():
     from radcomp import CauchyData, ComparisonPair, SpaceForm, constant, solve_profile
     prof = solve_profile(SpaceForm(3, 0.0), constant(1.0), CauchyData(0.0, 1.0))
@@ -482,6 +457,52 @@ def test_selftest_single_criterion(capsys):
     assert "[PASS] criterion  1" in out
 
 
+def test_selftest_writes_the_figure_files(tmp_path, capsys):
+    """Criterion 5 writes the gap curves, positive and decreasing; criterion 8
+    writes the two mu panels, every branch with a nonnegative mu."""
+    code, _, _ = run_cli(["selftest", "--only", "5,8", "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "gap_curve_n2.csv", "gap_curve_n3.csv", "gap_curve_n4.csv",
+        "mu_scan_left.csv", "mu_scan_right.csv"]
+    for n in (2, 3, 4):
+        lines = (tmp_path / f"gap_curve_n{n}.csv").read_text().splitlines()
+        assert lines[1] == "R,s"
+        svals = [float(row.split(",")[1]) for row in lines[2:]]
+        assert all(v > 0 for v in svals)
+        assert all(a > b for a, b in zip(svals, svals[1:]))
+    for panel, cores in (("left", 10), ("right", 1)):
+        lines = (tmp_path / f"mu_scan_{panel}.csv").read_text().splitlines()
+        assert json.loads(lines[0][2:])["panel"] == panel
+        assert lines[1] == "R,branch,min_mu,argmin,all_nonnegative"
+        rows = [row.split(",") for row in lines[2:]]
+        assert len(rows) == 2 * cores
+        assert [row[1] for row in rows] == ["1", "-1"] * cores
+        assert all(row[-1] == "true" for row in rows)
+
+
+@pytest.mark.parametrize("args", [
+    ["gap", "--n", "4", "--family", "2,1,2", "--f", "constant:1", "--M", "0.01"],
+    ["tau-scan", "--n", "4", "--family", "2,1,2", "--f", "constant:1", "--M", "0.01",
+     "--r-grid", "0:1.5:5", "--json", "-"],
+])
+def test_a_refused_gap_solves_nothing(args, monkeypatch, capsys):
+    """The library refuses a family's gap before the scan solves a leaf."""
+    solves = []
+
+    def spy(*a, **kw):
+        solves.append(a)
+        return radcomp.ode.solve_profile(*a, **kw)
+
+    for module in (radcomp.tau, radcomp.cli):
+        monkeypatch.setattr(module, "solve_profile", spy)
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "validation", "message": "gap estimation needs "
+                               "the radial equation of a space form"}
+    assert solves == []
+
+
 def child_env():
     """Environment for a child process that imports the same radcomp as this
     process, installed or not, with OpenBLAS left to pick its own kernel."""
@@ -489,6 +510,22 @@ def child_env():
     env = {key: val for key, val in os.environ.items() if key != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def test_closed_stdout_ends_the_output():
+    """A reader that closes stdout after one line ends the output: no
+    traceback, and exit code 141 (128 + SIGPIPE)."""
+    proc = subprocess.Popen([sys.executable, "-m", "radcomp", "profile", "--n", "3",
+                             "--k", "1", "--f", "constant:1", "--R", "0", "--M", "0.5",
+                             "--points", "100000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    assert proc.stdout.readline().startswith(b"# {")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert "Traceback" not in err
+    assert err == ""
 
 
 def test_console_script_entrypoint():
@@ -553,7 +590,7 @@ def test_defaulted_parameters_do_not_grow():
                 continue
             count += sum(p.default is not p.empty for fn in fns
                          for p in inspect.signature(fn).parameters.values())
-    assert count <= 28
+    assert count <= 26
 
 
 def test_public_names_do_not_grow():
@@ -576,9 +613,22 @@ def test_cli_surface_does_not_grow():
     sub = next(a for a in radcomp.cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) == {"profile", "tau-scan", "gap", "mu-check", "bounds",
-                                "fig-gap", "fig-mu", "selftest"}
+                                "selftest"}
     assert sum(len([a for a in sp._actions if a.option_strings and a.dest != "help"])
-               for sp in sub.choices.values()) <= 74
+               for sp in sub.choices.values()) <= 64
+
+
+def test_readme_command_lines_parse():
+    """Every radcomp command line in the README's sh blocks, trailing comment
+    dropped, parses: no document names a deleted command or flag."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    lines = [line.split("#")[0].split() for block in blocks for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["radcomp"]]
+    assert len(commands) >= 8
+    parser = radcomp.cli.build_parser()
+    for words in commands:
+        parser.parse_args(words)  # a DomainError names the line's fault
 
 
 def test_no_module_imports_scipy():

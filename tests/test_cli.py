@@ -457,20 +457,29 @@ def test_selftest_single_criterion(capsys):
     assert "[PASS] criterion  1" in out
 
 
-def test_selftest_writes_the_figure_files(tmp_path, capsys):
-    """Criterion 5 writes the gap curves, positive and decreasing; criterion 8
-    writes the two mu panels, every branch with a nonnegative mu."""
-    code, _, _ = run_cli(["selftest", "--only", "5,8", "--outdir", str(tmp_path)], capsys)
+def test_fig_gap_subcommand(tmp_path, capsys):
+    """The gap-curve figure data, once the fig-gap command's output, come from
+    selftest: criterion 5 writes the three curves, positive and decreasing."""
+    code, _, _ = run_cli(["selftest", "--only", "5", "--outdir", str(tmp_path)], capsys)
     assert code == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "gap_curve_n2.csv", "gap_curve_n3.csv", "gap_curve_n4.csv",
-        "mu_scan_left.csv", "mu_scan_right.csv"]
+        "gap_curve_n2.csv", "gap_curve_n3.csv", "gap_curve_n4.csv"]
     for n in (2, 3, 4):
         lines = (tmp_path / f"gap_curve_n{n}.csv").read_text().splitlines()
         assert lines[1] == "R,s"
         svals = [float(row.split(",")[1]) for row in lines[2:]]
         assert all(v > 0 for v in svals)
         assert all(a > b for a, b in zip(svals, svals[1:]))
+
+
+def test_fig_mu_subcommand(tmp_path, capsys):
+    """The mu figure data, once the fig-mu command's output, come from
+    selftest: criterion 8 writes the two panels, every branch with a
+    nonnegative mu."""
+    code, _, _ = run_cli(["selftest", "--only", "8", "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "mu_scan_left.csv", "mu_scan_right.csv"]
     for panel, cores in (("left", 10), ("right", 1)):
         lines = (tmp_path / f"mu_scan_{panel}.csv").read_text().splitlines()
         assert json.loads(lines[0][2:])["panel"] == panel
